@@ -13,6 +13,7 @@ integers are serialized as strings; CSV holds decimal text.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -77,6 +78,23 @@ class CliError(Exception):
     """Bad input or configuration; mapped to exit code 2."""
 
 
+# One validator per schema, built on first use.  Keyed by id(schema): the
+# validator holds its schema, so the id stays unique while it is cached.
+_VALIDATORS: dict = {}
+
+
+def _validate(obj, schema: dict) -> None:
+    """``jsonschema.validate`` without re-checking the schema on every call."""
+    validator = _VALIDATORS.get(id(schema))
+    if validator is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[id(schema)] = cls(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    if error is not None:
+        raise error
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -86,7 +104,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, schema: dict, out: str | None) -> None:
-    jsonschema.validate(obj, schema)
+    _validate(obj, schema)
     _write(json.dumps(obj, indent=2), out)
 
 
@@ -101,7 +119,7 @@ def _load_windows(path: str) -> WindowData:
                 "CSV window input needs a block length; use the JSON format"
             )
         obj = json.loads(text)
-        jsonschema.validate(obj, WINDOWS_SCHEMA)
+        _validate(obj, WINDOWS_SCHEMA)
         return WindowData(tuple(obj["sums"]), int(obj["W"]), int(obj["K"]))
     except (json.JSONDecodeError, jsonschema.ValidationError, ValueError) as exc:
         raise CliError(f"malformed windows file {path}: {exc}") from exc
@@ -242,7 +260,9 @@ def cmd_synth(args) -> int:
     raise CliError(f"unknown synth target {args.what!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use and shared."""
     parser = argparse.ArgumentParser(
         prog="windowcert",
         description="Certification of neutrality from W-block window sums",

@@ -5,20 +5,39 @@ polynomial; a single integer point where its Jacobian determinant is nonzero
 modulo a prime certifies that the determinant is nonzero over the reals, hence
 that the map is locally invertible on an open dense parameter set.
 
-The Jacobian is assembled by propagating parameter derivatives through the
-recurrence: u_n + q_1 u_{n-1} + ... + q_d u_{n-d} equals 0 when differentiating
-with respect to an initial value, and -y_{n-j} when differentiating with
-respect to q_j.  Integer parameters give a bit-exact integer matrix (Python
-ints are arbitrary precision, so exact assembly never overflows).
+Differentiating y_n + q_1 y_{n-1} + ... + q_d y_{n-d} = 0 (n > d) gives the
+same recurrence for each derivative sequence, with source 0 for an initial
+value and -y_{n-j} for q_j.  Rather than run it once per column, the Jacobian
+is assembled from two sequences.  With Q(z) = 1 + q_1 z + ... + q_d z^d these
+are the impulse response g = 1/Q and the tail response
+E = (y_d z^d + y_{d+1} z^{d+1} + ...)/Q:
+
+  g_0 = 1,  g_t = -(q_1 g_{t-1} + ... + q_d g_{t-d}),
+  E_t = 0 for t < d,  E_t = y_t - (q_1 E_{t-1} + ... + q_d E_{t-d}) for t >= d.
+
+Writing z^s x for x delayed by s samples, the derivative sequences are
+
+  dy/dy_a = e_a - sum_{m=d-a+1..d} q_m z^{a+m} g,
+  dy/dq_j = -z^j E - sum_{s=d+1-j..d-1} y_s z^{j+s} g,
+
+so each Jacobian column is the same combination of the window sums of the
+delayed g and E.  Every term is a part of the derivative itself: the formula
+builds in no cancellation between large terms, which keeps float columns
+accurate when the initial values decay fast.  For N = W(2d+1) samples this
+costs about 2Nd + d^2 K multiplications instead of (2d+1)Nd.  Integer
+parameters give a bit-exact integer matrix (Python ints are arbitrary
+precision, so exact assembly never overflows).
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
-from .signal import RationalParams, generate_sequence, window_sums
+from .signal import RationalParams, generate_sequence
+from .signal import window_sums  # noqa: F401  (bench/tracing.py rebinds rankcert.window_sums)
 
 # Witness bases make Miller-Rabin deterministic below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -49,45 +68,52 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _derivative_rows(params: RationalParams, W: int, modulus: Optional[int] = None):
+def _shifted_window_sums(x, W: int, K: int, s: int) -> list:
+    """win_s(x)_k = sum_{i<W} x_{Wk+i-s}, entries at negative index being 0.
+
+    Each window is a direct slice sum, not a difference of prefix sums, so
+    float inputs keep the rounding of a plain block sum.
+    """
+    return [sum(x[max(0, W * k - s) : max(0, W * k + W - s)]) for k in range(K)]
+
+
+def _derivative_rows(params: RationalParams, W: int) -> list:
     """Rows of the Jacobian of the first 2d+1 window sums, one per window.
 
-    Column order is (y_0..y_d, q_1..q_d).  With ``modulus`` set, all
-    arithmetic is reduced mod that value.
+    Column order is (y_0..y_d, q_1..q_d).  Each column combines window sums
+    of the impulse response g and the tail response E, delayed by a few
+    samples (see the module docstring).
     """
     d = params.degree
     K = 2 * d + 1
-    n_max = W * K - 1
-    q = list(params.recurrence)
-    y = generate_sequence(params, n_max)
-    if modulus is not None:
-        q = [v % modulus for v in q]
-        y = [v % modulus for v in y]
-
-    def step(u, n, source):
-        v = -sum(q[m - 1] * u[n - m] for m in range(1, d + 1)) + source
-        return v % modulus if modulus is not None else v
+    n = W * K  # the windows cover y_0..y_{n-1}
+    q = params.recurrence
+    y = generate_sequence(params, n - 1)
+    # x[:-d-1:-1] is (x_{t-1}, ..., x_{t-d}), paired with (q_1, ..., q_d).
+    # g enters only with delays >= d+1, so g_0..g_{n-d-2} suffice.
+    g = [0] * d + [1]  # d leading zeros, then g_0
+    for _ in range(n - d - 2):
+        g.append(-sum(map(mul, q, g[: -d - 1 : -1])))
+    tail = [0] * (2 * d)  # d leading zeros, then E_0..E_{d-1} = 0
+    for t in range(d, n - 1):
+        tail.append(y[t] - sum(map(mul, q, tail[: -d - 1 : -1])))
+    g = g[d:]
+    tail = tail[d:]
+    win_g = {s: _shifted_window_sums(g, W, K, s) for s in range(d + 1, 2 * d + 1)}
 
     columns = []
-    for alpha in range(2 * d + 1):
-        u = [0] * (d + 1)
-        if alpha <= d:
-            u[alpha] = 1
-            for n in range(d + 1, n_max + 1):
-                u.append(step(u, n, 0))
-        else:
-            j = alpha - d
-            for n in range(d + 1, n_max + 1):
-                u.append(step(u, n, -y[n - j]))
-        columns.append(u)
-
-    rows = []
-    for k in range(K):
-        row = [sum(col[W * k + j] for j in range(W)) for col in columns]
-        if modulus is not None:
-            row = [v % modulus for v in row]
-        rows.append(row)
-    return rows
+    for alpha in range(d + 1):
+        col = [0] * K
+        col[alpha // W] = 1  # e_a: sample a lies in window a // W
+        for m in range(d - alpha + 1, d + 1):
+            col = [c - q[m - 1] * w for c, w in zip(col, win_g[alpha + m])]
+        columns.append(col)
+    for j in range(1, d + 1):
+        col = [-v for v in _shifted_window_sums(tail, W, K, j)]
+        for s in range(d + 1 - j, d):
+            col = [c - y[s] * w for c, w in zip(col, win_g[j + s])]
+        columns.append(col)
+    return [list(row) for row in zip(*columns)]
 
 
 def jacobian(params: RationalParams, W: int) -> list:
@@ -98,14 +124,14 @@ def jacobian(params: RationalParams, W: int) -> list:
 
 
 def jacobian_mod(params: RationalParams, W: int, p: int) -> list:
-    """Jacobian with all arithmetic reduced modulo the prime p."""
+    """Jacobian with every entry reduced modulo the prime p."""
     if W < 1:
         raise ValueError("W must be >= 1")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if not params.is_integer:
         raise ValueError("modular mode requires integer parameters")
-    return _derivative_rows(params, W, modulus=p)
+    return [[v % p for v in row] for row in _derivative_rows(params, W)]
 
 
 def det_mod(matrix, p: int) -> int:
@@ -189,7 +215,8 @@ def certify_witness(params: RationalParams, d: int, W: int, p: int) -> RankCerti
         raise ValueError(f"modulus {p} is not prime")
     jac = jacobian(params, W)
     residue = det_mod(jac, p)
-    sums = window_sums(generate_sequence(params, W * (2 * d + 1) - 1), W, 2 * d + 1)
+    # The signal is linear in its initial values, so S_k = sum_a J[k][a] y_a.
+    sums = tuple(sum(map(mul, row[: d + 1], params.initial)) for row in jac)
     return RankCertificate(
         params=params,
         d=d,
@@ -198,7 +225,7 @@ def certify_witness(params: RationalParams, d: int, W: int, p: int) -> RankCerti
         jacobian=tuple(tuple(row) for row in jac),
         det_residue=residue,
         nonzero=residue != 0,
-        window_sums=sums.sums,
+        window_sums=sums,
         exact=True,
     )
 

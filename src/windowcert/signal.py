@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -126,8 +127,9 @@ def generate_sequence(params: RationalParams, n_max: int) -> list:
         raise ValueError(f"n_max must be >= degree {d}, got {n_max}")
     q = params.recurrence
     y = list(params.initial)
-    for n in range(d + 1, n_max + 1):
-        y.append(-sum(q[m - 1] * y[n - m] for m in range(1, d + 1)))
+    for _ in range(d + 1, n_max + 1):
+        # y[:-d-1:-1] is (y_{n-1}, ..., y_{n-d}), paired with (q_1, ..., q_d).
+        y.append(-sum(map(mul, q, y[: -d - 1 : -1])))
     return y
 
 

@@ -1,8 +1,9 @@
 import json
 
+import jsonschema
 import pytest
 
-from windowcert.cli import main
+from windowcert.cli import REPORT_SCHEMA, WINDOWS_SCHEMA, _emit_json, main
 from windowcert.signal import WindowData
 
 from reference_data import (
@@ -125,6 +126,19 @@ class TestReconstruct:
     def test_missing_file(self, tmp_path):
         assert main(["reconstruct", str(tmp_path / "nope.json"), "-d", "1"]) == 2
 
+    def test_schema_violation_message(self, tmp_path, capsys):
+        # Two errors, of which jsonschema.validate reports the second, not
+        # the first that iter_errors yields; so on every call.
+        obj = {"W": 1, "K": 2, "sums": [[1.0], "x"]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(obj, WINDOWS_SCHEMA)
+        for _ in range(2):
+            assert main(["reconstruct", str(bad), "-d", "1"]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: malformed windows file {bad}: {expected.value}\n"
+
 
 class TestCertify:
     def test_neutral_zero_exit(self, tmp_path):
@@ -197,6 +211,28 @@ class TestConfigOverride:
              "--config", str(cfg)]
         )
         assert rc == 2
+
+
+class TestReusedParserAndValidators:
+    def test_schema_invalid_report_raises(self, capsys):
+        for _ in range(2):
+            with pytest.raises(jsonschema.ValidationError):
+                _emit_json({"decision": "maybe", "flags": []}, REPORT_SCHEMA, None)
+        assert capsys.readouterr().out == ""
+
+    def test_consecutive_calls_get_independent_arguments(self, tmp_path, capsys):
+        path = write_windows(tmp_path / "w.json", [8.0] * 7, 8)
+        report = tmp_path / "r.json"
+        rc = main(["certify", path, "-d", "1", "--noise-eps", "1e-3", "--out", str(report)])
+        assert rc == 0
+        capsys.readouterr()
+        # No --out, -d or --noise-eps carried over from the certify call.
+        assert main(["witness", "-d", "1", "-W", "1", "--pi0", "1 1 -2"]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["d"] == 1 and cert["det_mod_p"] == PRIME - 1
+        assert json.loads(report.read_text())["threshold"] > 0.0
+        assert main(["certify", path, "-d", "1", "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["threshold"] == 0.0
 
 
 def test_roundtrip_windows_to_certify(tmp_path):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from windowcert.rankcert import (
     RankCertificate,
@@ -13,7 +14,7 @@ from windowcert.rankcert import (
     jacobian_mod,
     search_witness,
 )
-from windowcert.signal import RationalParams, window_map
+from windowcert.signal import RationalParams, generate_sequence, window_map, window_sums
 
 from reference_data import (
     PRIME,
@@ -81,6 +82,84 @@ class TestJacobian:
             jacobian_mod(WITNESS, WITNESS_W, 10)
         with pytest.raises(ValueError):
             jacobian_mod(RationalParams((1.0, 2.0), (0.5,), 1), 2, PRIME)
+
+
+def _propagated_jacobian(params, W):
+    """Reference assembly: one derivative recurrence per column over all W*K
+    samples.  Differentiating y_n + q_1 y_{n-1} + ... + q_d y_{n-d} = 0 gives
+    the same recurrence with source 0 for an initial value and -y_{n-j} for
+    q_j."""
+    d = params.degree
+    K = 2 * d + 1
+    n_max = W * K - 1
+    q = params.recurrence
+    y = generate_sequence(params, n_max)
+    columns = []
+    for alpha in range(K):
+        u = [0] * (d + 1)
+        if alpha <= d:
+            u[alpha] = 1
+        for n in range(d + 1, n_max + 1):
+            source = 0 if alpha <= d else -y[n - (alpha - d)]
+            u.append(-sum(q[m - 1] * u[n - m] for m in range(1, d + 1)) + source)
+        columns.append(u)
+    return [[sum(col[W * k + j] for j in range(W)) for col in columns] for k in range(K)]
+
+
+@st.composite
+def integer_points(draw):
+    d = draw(st.integers(1, 8))
+    pi = draw(st.lists(st.integers(-9, 9), min_size=2 * d + 1, max_size=2 * d + 1))
+    return RationalParams.from_vector(pi, d)
+
+
+@st.composite
+def decaying_float_points(draw):
+    # d <= 4: from d = 5 on, with rates bunched near 1, both float assemblies
+    # drift from the exact Jacobian by 1e-9 (d = 5) to 5e-7 (d = 7) of a
+    # column's max, so they cannot be compared at this tolerance.
+    d = draw(st.integers(1, 4))
+    rate = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    rates = draw(st.lists(rate, min_size=d, max_size=d))
+    initial = draw(st.lists(st.floats(-10.0, 10.0), min_size=d + 1, max_size=d + 1))
+    recurrence = tuple(float(c) for c in np.poly(rates)[1:])
+    return RationalParams(tuple(initial), recurrence, d)
+
+
+blocks = st.integers(1, 12)
+
+
+class TestAssemblyProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_points(), blocks)
+    @example(RationalParams((0, 0, 0), (3, -2), 2), 5)  # all-zero initial values
+    @example(RationalParams((1, -2, 4), (3, 0), 2), 4)  # q_d = 0
+    def test_exact_matches_propagation(self, params, W):
+        assert jacobian(params, W) == _propagated_jacobian(params, W)
+
+    @settings(max_examples=150, deadline=None)
+    @given(decaying_float_points(), blocks)
+    def test_float_matches_propagation(self, params, W):
+        fast = np.asarray(jacobian(params, W), dtype=float)
+        ref = np.asarray(_propagated_jacobian(params, W), dtype=float)
+        scale = np.max(np.abs(ref), axis=0)
+        # The absolute 1e-300 only admits underflow: subnormal inputs round
+        # to an absolute grid, not a relative one.
+        assert np.all(np.abs(fast - ref) <= 1e-9 * scale + 1e-300)
+
+    @settings(max_examples=50, deadline=None)
+    @given(integer_points(), blocks)
+    def test_modular_determinant_matches_exact(self, params, W):
+        residue = det_mod(jacobian(params, W), PRIME)
+        assert det_mod(jacobian_mod(params, W, PRIME), PRIME) == residue
+
+    @settings(max_examples=50, deadline=None)
+    @given(integer_points(), blocks)
+    def test_certificate_window_sums(self, params, W):
+        d = params.degree
+        K = 2 * d + 1
+        cert = certify_witness(params, d, W, PRIME)
+        assert cert.window_sums == window_sums(generate_sequence(params, W * K - 1), W, K).sums
 
 
 class TestDetMod:
