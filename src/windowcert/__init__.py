@@ -9,7 +9,6 @@ from .certify import (
     CertReport,
     CostedCandidates,
     Decision,
-    PipelineConfig,
     decide_certificate,
     eps_bound,
     eps_meaning_set,
@@ -29,14 +28,13 @@ from .cost import (
     tolerance_epsilon,
 )
 from .loggeom import certificate_value, conservation, defect, project_mean_zero
-from .prony import PronyConfig, PronyModel, prony_reconstruct
+from .prony import PronyModel, prony_reconstruct
 from .rankcert import (
     RankCertificate,
     certify_witness,
     det_mod,
     hankel_witness_det,
     jacobian,
-    jacobian_mod,
     search_witness,
 )
 from .signal import (
@@ -64,8 +62,6 @@ __all__ = [
     "CostedCandidates",
     "Decision",
     "ExponentialMixture",
-    "PipelineConfig",
-    "PronyConfig",
     "PronyModel",
     "RankCertificate",
     "RatioBand",
@@ -89,7 +85,6 @@ __all__ = [
     "generate_sequence",
     "hankel_witness_det",
     "jacobian",
-    "jacobian_mod",
     "lipschitz_constant",
     "meaning_set",
     "mixture_sequence",

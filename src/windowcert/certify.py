@@ -17,10 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import prony
 from .cost import RatioBand, cost, tolerance_epsilon
 from .loggeom import certificate_value, project_mean_zero
-from .prony import PronyConfig, PronyModel, prony_reconstruct
+from .prony import PronyModel, finite_or_none, prony_reconstruct
 from .rankcert import jacobian
 from .signal import RationalParams, WindowData
 
@@ -35,23 +34,16 @@ class Decision(str, enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Tunables of the certification pipeline."""
-
-    eps0: float = 1e-2
-    prony: PronyConfig = field(default_factory=PronyConfig)
-    # Absolute slack added to the neutral-consistency window check, scaled by
-    # the magnitude of the first sum; absorbs roundtrip roundoff at eps = 0.
-    neutral_slack: float = 1e-9
-    # Floor on the zero/nonzero decision threshold; absorbs the O(eps_mach^2)
-    # certificate value that mean-projection roundoff produces on an exactly
-    # constant configuration when the declared noise (and hence the bound)
-    # is zero.
-    certificate_floor: float = 1e-24
-
-
-DEFAULT_CONFIG = PipelineConfig()
+# Noise regime on which the reconstruction Lipschitz constant is taken.
+EPS0 = 1e-2
+# Absolute slack added to the neutral-consistency window check, scaled by
+# the magnitude of the first sum; absorbs roundtrip roundoff at eps = 0.
+NEUTRAL_SLACK = 1e-9
+# Floor on the zero/nonzero decision threshold; absorbs the O(eps_mach^2)
+# certificate value that mean-projection roundoff produces on an exactly
+# constant configuration when the declared noise (and hence the bound)
+# is zero.
+CERTIFICATE_FLOOR = 1e-24
 
 
 @dataclass(frozen=True)
@@ -62,20 +54,21 @@ class CertReport:
     certificate_value: Optional[float]
     defect_estimate: Optional[float]
     threshold: Optional[float]
-    eps_bound: Optional[float]
     lipschitz_estimate: Optional[float]
     reconstruction: Optional[PronyModel]
     flags: frozenset = field(default_factory=frozenset)
 
     def to_json(self) -> str:
+        """Strict JSON: non-finite values are null, and ``bound_vacuous``
+        says whether the threshold is infinite."""
         return json.dumps(
             {
                 "decision": self.decision.value,
-                "certificate_value": self.certificate_value,
-                "defect": self.defect_estimate,
-                "threshold": self.threshold,
-                "eps_bound": self.eps_bound,
-                "L": self.lipschitz_estimate,
+                "certificate_value": finite_or_none(self.certificate_value),
+                "defect": finite_or_none(self.defect_estimate),
+                "threshold": finite_or_none(self.threshold),
+                "bound_vacuous": self.threshold == math.inf,
+                "L": finite_or_none(self.lipschitz_estimate),
                 "flags": sorted(self.flags),
                 "model": json.loads(self.reconstruction.to_json())
                 if self.reconstruction is not None
@@ -176,19 +169,13 @@ def _inconclusive(model: Optional[PronyModel], flags) -> CertReport:
         certificate_value=None,
         defect_estimate=None,
         threshold=None,
-        eps_bound=None,
         lipschitz_estimate=None,
         reconstruction=model,
         flags=frozenset(flags),
     )
 
 
-def pipeline(
-    w: WindowData,
-    d: int,
-    noise_eps: float = 0.0,
-    config: PipelineConfig = DEFAULT_CONFIG,
-) -> CertReport:
+def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     """End-to-end certification of K window sums at declared noise level.
 
     Reconstruction failures (degenerate Prony step, non-positive sample
@@ -198,10 +185,10 @@ def pipeline(
     K = w.count
     if K < 2 * d:
         raise ValueError(f"need at least 2d={2 * d} windows, got {K}")
-    if noise_eps < 0.0:
+    if not noise_eps >= 0.0:  # also rejects NaN, which no comparison admits
         raise ValueError("noise_eps must be nonnegative")
 
-    model = prony_reconstruct(w, d, config.prony)
+    model = prony_reconstruct(w, d)
     if model.degenerate:
         return _inconclusive(model, model.flags)
 
@@ -220,18 +207,18 @@ def pipeline(
     except (ValueError, np.linalg.LinAlgError):
         return _inconclusive(model, {LIPSCHITZ_SINGULAR})
 
-    threshold = eps_bound(lipschitz, K, config.eps0, noise_eps)
+    threshold = eps_bound(lipschitz, K, EPS0, noise_eps)
     u = project_mean_zero(np.log(samples))
     value = certificate_value(u)
     defect_estimate = float(np.linalg.norm(u))
 
     flags = set()
-    if value <= max(threshold, config.certificate_floor):
+    if value <= max(threshold, CERTIFICATE_FLOOR):
         # A zero verdict additionally requires the observed windows to be
         # consistent with a constant (neutral) realization within the noise.
         neutral_level = float(np.exp(np.mean(np.log(samples))))
         neutral_sums = w.block_length * neutral_level
-        slack = noise_eps + config.neutral_slack * max(1.0, abs(neutral_sums))
+        slack = noise_eps + NEUTRAL_SLACK * max(1.0, abs(neutral_sums))
         observed = np.asarray(w.sums, dtype=float)
         if np.max(np.abs(observed - neutral_sums)) <= slack:
             decision = Decision.ZERO
@@ -246,7 +233,6 @@ def pipeline(
         certificate_value=value,
         defect_estimate=defect_estimate,
         threshold=threshold,
-        eps_bound=threshold,
         lipschitz_estimate=lipschitz,
         reconstruction=model,
         flags=frozenset(flags),

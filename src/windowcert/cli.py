@@ -7,8 +7,10 @@ Exit codes are part of the contract:
   2  malformed input or invalid configuration
   3  inconclusive outcome / search exhaustion
 
-All JSON documents are schema-validated before they are written.  Large
-integers are serialized as strings; CSV holds decimal text.
+All JSON documents are schema-validated before they are written and are
+strict RFC 8259: non-finite floats are written as null.  Large integers are
+serialized as strings; CSV holds decimal text.  ``WINDOWCERT_LOG`` sets the
+log level (default WARNING).
 """
 from __future__ import annotations
 
@@ -66,10 +68,11 @@ MODEL_SCHEMA = {
 
 REPORT_SCHEMA = {
     "type": "object",
-    "required": ["decision", "flags"],
+    "required": ["decision", "flags", "bound_vacuous"],
     "properties": {
         "decision": {"enum": ["zero", "nonzero", "inconclusive"]},
         "flags": {"type": "array", "items": {"type": "string"}},
+        "bound_vacuous": {"type": "boolean"},
     },
 }
 
@@ -105,7 +108,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _emit_json(obj: dict, schema: dict, out: str | None) -> None:
     _validate(obj, schema)
-    _write(json.dumps(obj, indent=2), out)
+    _write(json.dumps(obj, indent=2, allow_nan=False), out)
 
 
 def _load_windows(path: str) -> WindowData:
@@ -125,61 +128,30 @@ def _load_windows(path: str) -> WindowData:
         raise CliError(f"malformed windows file {path}: {exc}") from exc
 
 
-def _parse_numbers(text: str, exact: bool):
-    vals = [v for v in text.replace(",", " ").split() if v]
-    if exact:
-        try:
-            return [int(v) for v in vals]
-        except ValueError as exc:
-            raise CliError(f"exact mode requires integer parameters: {exc}") from exc
-    return [float(v) for v in vals]
-
-
-def _load_params(args) -> RationalParams:
-    if args.params_file:
-        try:
-            obj = json.loads(Path(args.params_file).read_text())
-            initial = obj["initial"]
-            recurrence = obj["recurrence"]
-            d = int(obj.get("d", len(recurrence)))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise CliError(f"malformed params file: {exc}") from exc
-    elif args.pi0:
-        vals = _parse_numbers(args.pi0, args.mode == "exact")
-        if args.d is None:
-            raise CliError("--pi0 requires -d")
-        d = args.d
-        if len(vals) != 2 * d + 1:
-            raise CliError(f"--pi0 needs {2 * d + 1} values for d={d}")
-        return RationalParams.from_vector(vals, d)
-    else:
-        raise CliError("provide --params-file or --pi0")
-    if args.mode == "exact":
-        initial = [int(v) for v in initial]
-        recurrence = [int(v) for v in recurrence]
+def _parse_pi0(text: str, d: int) -> RationalParams:
+    """The integer parameter vector y0..yd,q1..qd of ``--pi0``."""
     try:
-        return RationalParams(tuple(initial), tuple(recurrence), d)
+        vals = [int(v) for v in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"--pi0 takes integers: {exc}") from exc
+    if len(vals) != 2 * d + 1:
+        raise CliError(f"--pi0 needs {2 * d + 1} integers for d={d}")
+    return RationalParams.from_vector(vals, d)
 
 
 def cmd_windows(args) -> int:
     if args.sequence_file:
         try:
-            seq = [
-                float(v)
-                for v in Path(args.sequence_file).read_text().split()
-                if v.strip()
-            ]
+            seq = [float(v) for v in Path(args.sequence_file).read_text().split()]
         except (OSError, ValueError) as exc:
             raise CliError(f"malformed sequence file: {exc}") from exc
+    elif args.pi0:
+        if args.d is None:
+            raise CliError("--pi0 requires -d")
+        seq = generate_sequence(_parse_pi0(args.pi0, args.d), args.W * args.K - 1)
     else:
-        params = _load_params(args)
-        seq = generate_sequence(params, args.W * args.K - 1)
-    try:
-        data = window_sums(seq, args.W, args.K)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError("provide --pi0 or --sequence-file")
+    data = window_sums(seq, args.W, args.K)
     if args.out and args.out.endswith(".csv"):
         _write(data.to_csv(), args.out)
     else:
@@ -188,30 +160,23 @@ def cmd_windows(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    try:
-        if args.search:
-            cert = search_witness(
-                args.d,
-                args.W,
-                coordinate_bound=args.bound,
-                p=args.prime,
-                seed=args.seed,
-                max_trials=args.max_trials,
-            )
-            if cert is None:
-                log.warning("witness search exhausted after %d trials", args.max_trials)
-                return 3
-        else:
-            if not args.pi0:
-                raise CliError("provide --pi0 or --search")
-            vals = _parse_numbers(args.pi0, exact=True)
-            if len(vals) != 2 * args.d + 1:
-                raise CliError(f"--pi0 needs {2 * args.d + 1} integers for d={args.d}")
-            cert = certify_witness(
-                RationalParams.from_vector(vals, args.d), args.d, args.W, args.prime
-            )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.search:
+        cert = search_witness(
+            args.d,
+            args.W,
+            coordinate_bound=args.bound,
+            p=args.prime,
+            seed=args.seed,
+            max_trials=args.max_trials,
+        )
+        if cert is None:
+            log.warning("witness search exhausted after %d trials", args.max_trials)
+            return 3
+    elif args.pi0:
+        params = _parse_pi0(args.pi0, args.d)
+        cert = certify_witness(params, args.d, args.W, args.prime)
+    else:
+        raise CliError("provide --pi0 or --search")
     _emit_json(json.loads(cert.to_json()), CERTIFICATE_SCHEMA, args.out)
     return 0 if cert.nonzero else 1
 
@@ -227,10 +192,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_certify(args) -> int:
     data = _load_windows(args.windows)
-    try:
-        report = pipeline(data, args.d, noise_eps=args.noise_eps)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = pipeline(data, args.d, noise_eps=args.noise_eps)
     _emit_json(json.loads(report.to_json()), REPORT_SCHEMA, args.out)
     return {Decision.ZERO: 0, Decision.NONZERO: 1, Decision.INCONCLUSIVE: 3}[
         report.decision
@@ -268,11 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certification of neutrality from W-block window sums",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=["exact", "float", "modular"], default="exact")
-    common.add_argument("--prime", type=int, default=10**9 + 7)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--config", help="JSON RunConfig file overriding flags")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -280,16 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int)
     p.add_argument("-W", type=int, required=True)
     p.add_argument("-K", type=int, required=True)
-    p.add_argument("--params-file")
-    p.add_argument("--pi0", help="flat parameter list y0..yd,q1..qd")
-    p.add_argument("--sequence-file")
+    p.add_argument("--pi0", help="integer parameters y0..yd,q1..qd")
+    p.add_argument("--sequence-file", help="samples y0, y1, ... (floats)")
     p.set_defaults(func=cmd_windows)
 
     p = sub.add_parser("witness", parents=[common], help="rank certificate")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-W", type=int, required=True)
-    p.add_argument("--pi0")
+    p.add_argument("--pi0", help="integer parameters y0..yd,q1..qd")
     p.add_argument("--search", action="store_true")
+    p.add_argument("--prime", type=int, default=10**9 + 7)
+    p.add_argument("--seed", type=int, default=0, help="search seed")
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--max-trials", type=int, default=100)
     p.set_defaults(func=cmd_witness)
@@ -315,30 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    try:
-        overrides = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"bad config file: {exc}") from exc
-    for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr):
-            setattr(args, attr, value)
-
-
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("DEFECT_CERT_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
+        level = os.environ.get("WINDOWCERT_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):
+            raise CliError(f"unknown WINDOWCERT_LOG level {level!r}")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        log.error("%s", exc)
+    except (CliError, ValueError) as exc:
+        # ValueError covers numpy.linalg.LinAlgError and the package's own
+        # argument checks.
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -10,6 +10,7 @@ amplitudes) are reported as flags on the model, never as exceptions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,19 +25,19 @@ ZERO_AMPLITUDE = "zero_amplitude"
 COMPLEX_NODES = "complex_nodes"
 
 
-@dataclass(frozen=True)
-class PronyConfig:
-    """Numerical thresholds for degeneracy detection."""
-
-    singular_ratio: float = 1e-12
-    node_separation: float = 1e-8
-    zero_node_ratio: float = 1e-12
-    zero_amplitude_ratio: float = 1e-10
-    imag_ratio: float = 1e-8
-    newton_steps: int = 2
+# Numerical thresholds for degeneracy detection, relative to the largest
+# singular value, node modulus or amplitude.
+SINGULAR_RATIO = 1e-12
+NODE_SEPARATION = 1e-8
+ZERO_NODE_RATIO = 1e-12
+ZERO_AMPLITUDE_RATIO = 1e-10
+IMAG_RATIO = 1e-8
+NEWTON_STEPS = 2
 
 
-DEFAULT_CONFIG = PronyConfig()
+def finite_or_none(v):
+    """``v`` for JSON output: None (null) when it is a non-finite float."""
+    return v if v is None or math.isfinite(v) else None
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ class PronyModel:
                 "nodes": [enc(v) for v in self.nodes],
                 "amplitudes": [enc(v) for v in self.amplitudes],
                 "char_coeffs": [enc(v) for v in self.char_coeffs],
-                "hankel_condition": self.hankel_condition,
-                "vandermonde_condition": self.vandermonde_condition,
+                "hankel_condition": finite_or_none(self.hankel_condition),
+                "vandermonde_condition": finite_or_none(self.vandermonde_condition),
                 "flags": sorted(self.flags),
             }
         )
@@ -85,12 +86,15 @@ class PronyModel:
         def dec(v):
             return complex(v["re"], v["im"]) if isinstance(v, dict) else float(v)
 
+        def condition(v):
+            return math.inf if v is None else float(v)
+
         return cls(
             nodes=tuple(dec(v) for v in obj["nodes"]),
             amplitudes=tuple(dec(v) for v in obj["amplitudes"]),
             char_coeffs=tuple(dec(v) for v in obj["char_coeffs"]),
-            hankel_condition=float(obj["hankel_condition"]),
-            vandermonde_condition=float(obj["vandermonde_condition"]),
+            hankel_condition=condition(obj["hankel_condition"]),
+            vandermonde_condition=condition(obj["vandermonde_condition"]),
             flags=frozenset(obj["flags"]),
         )
 
@@ -101,7 +105,7 @@ def _sums(S) -> np.ndarray:
     return np.asarray(S, dtype=float)
 
 
-def solve_recurrence_coeffs(S, d: int, config: PronyConfig = DEFAULT_CONFIG):
+def solve_recurrence_coeffs(S, d: int):
     """Monic characteristic coefficients (a_1..a_d) of the window-sum recurrence.
 
     Solves sum_m a_m S_{k+d-m} = -S_{k+d} for k = 0..d-1.  Returns
@@ -119,7 +123,7 @@ def solve_recurrence_coeffs(S, d: int, config: PronyConfig = DEFAULT_CONFIG):
     sv = np.linalg.svd(hankel, compute_uv=False)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
     flags = set()
-    if sv[0] == 0.0 or sv[-1] < config.singular_ratio * sv[0]:
+    if sv[0] == 0.0 or sv[-1] < SINGULAR_RATIO * sv[0]:
         flags.add(HANKEL_SINGULAR)
         coeffs = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
     else:
@@ -132,7 +136,7 @@ def _node_order(v):
     return (-abs(v), -v.real, -v.imag)
 
 
-def char_roots(coeffs, config: PronyConfig = DEFAULT_CONFIG):
+def char_roots(coeffs):
     """Roots of t^d + a_1 t^{d-1} + ... + a_d, Newton-polished and ordered.
 
     Ordering is by descending modulus, ties broken by descending real then
@@ -145,7 +149,7 @@ def char_roots(coeffs, config: PronyConfig = DEFAULT_CONFIG):
     poly = np.concatenate([[1.0], np.asarray(coeffs, dtype=float)])
     roots = np.roots(poly)
     dpoly = np.polyder(poly)
-    for _ in range(config.newton_steps):
+    for _ in range(NEWTON_STEPS):
         num = np.polyval(poly, roots)
         den = np.polyval(dpoly, roots)
         safe = np.where(np.abs(den) > 0.0, den, 1.0)
@@ -155,15 +159,15 @@ def char_roots(coeffs, config: PronyConfig = DEFAULT_CONFIG):
     mags = [abs(r) for r in roots]
     top = max(mags) if mags else 0.0
     if top > 0.0:
-        if min(mags) < config.zero_node_ratio * top:
+        if min(mags) < ZERO_NODE_RATIO * top:
             flags.add(ZERO_NODE)
         min_sep = min(
             (abs(roots[i] - roots[j]) for i in range(d) for j in range(i + 1, d)),
             default=np.inf,
         )
-        if min_sep < config.node_separation * top:
+        if min_sep < NODE_SEPARATION * top:
             flags.add(REPEATED_NODES)
-        if any(abs(r.imag) > config.imag_ratio * abs(r) for r in roots):
+        if any(abs(r.imag) > IMAG_RATIO * abs(r) for r in roots):
             flags.add(COMPLEX_NODES)
     else:
         flags.add(ZERO_NODE)
@@ -172,7 +176,7 @@ def char_roots(coeffs, config: PronyConfig = DEFAULT_CONFIG):
     return tuple(roots), flags
 
 
-def solve_amplitudes(S, nodes, config: PronyConfig = DEFAULT_CONFIG):
+def solve_amplitudes(S, nodes):
     """Amplitudes from the Vandermonde system V(mu) A = (S_0..S_{d-1}).
 
     Repeated nodes make the system singular and raise; near-vanishing
@@ -191,7 +195,7 @@ def solve_amplitudes(S, nodes, config: PronyConfig = DEFAULT_CONFIG):
     amps = np.linalg.solve(vdm, s[:d].astype(vdm.dtype))
     flags = set()
     mags = np.abs(amps)
-    if mags.max() == 0.0 or mags.min() < config.zero_amplitude_ratio * mags.max():
+    if mags.max() == 0.0 or mags.min() < ZERO_AMPLITUDE_RATIO * mags.max():
         flags.add(ZERO_AMPLITUDE)
     if np.iscomplexobj(amps):
         amps = tuple(complex(a) for a in amps)
@@ -200,14 +204,14 @@ def solve_amplitudes(S, nodes, config: PronyConfig = DEFAULT_CONFIG):
     return amps, condition, flags
 
 
-def prony_reconstruct(S, d: int, config: PronyConfig = DEFAULT_CONFIG) -> PronyModel:
+def prony_reconstruct(S, d: int) -> PronyModel:
     """Full recovery S_0..S_{2d-1} -> (nodes, amplitudes) with diagnostics.
 
     Only the first 2d sums are consulted.  Degenerate inputs produce a model
     with the corresponding flags set rather than raising.
     """
     s = _sums(S)
-    coeffs, hankel_condition, flags = solve_recurrence_coeffs(s, d, config)
+    coeffs, hankel_condition, flags = solve_recurrence_coeffs(s, d)
     if HANKEL_SINGULAR in flags:
         return PronyModel(
             nodes=(),
@@ -217,7 +221,7 @@ def prony_reconstruct(S, d: int, config: PronyConfig = DEFAULT_CONFIG) -> PronyM
             vandermonde_condition=float("inf"),
             flags=frozenset(flags),
         )
-    nodes, root_flags = char_roots(coeffs, config)
+    nodes, root_flags = char_roots(coeffs)
     flags |= root_flags
     if REPEATED_NODES in flags or ZERO_NODE in flags:
         return PronyModel(
@@ -228,7 +232,7 @@ def prony_reconstruct(S, d: int, config: PronyConfig = DEFAULT_CONFIG) -> PronyM
             vandermonde_condition=float("inf"),
             flags=frozenset(flags),
         )
-    amps, vdm_condition, amp_flags = solve_amplitudes(s, nodes, config)
+    amps, vdm_condition, amp_flags = solve_amplitudes(s, nodes)
     flags |= amp_flags
     return PronyModel(
         nodes=nodes,

@@ -123,17 +123,6 @@ def jacobian(params: RationalParams, W: int) -> list:
     return _derivative_rows(params, W)
 
 
-def jacobian_mod(params: RationalParams, W: int, p: int) -> list:
-    """Jacobian with every entry reduced modulo the prime p."""
-    if W < 1:
-        raise ValueError("W must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if not params.is_integer:
-        raise ValueError("modular mode requires integer parameters")
-    return [[v % p for v in row] for row in _derivative_rows(params, W)]
-
-
 def det_mod(matrix, p: int) -> int:
     """Determinant residue in [0, p) by Gaussian elimination over F_p."""
     if not is_prime(p):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -68,12 +69,11 @@ class RationalParams:
 
 @dataclass(frozen=True)
 class WindowData:
-    """K window sums at block length W, with a declared noise tolerance."""
+    """K window sums at block length W."""
 
     sums: tuple
     block_length: int
     count: int
-    noise_eps: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sums", tuple(self.sums))
@@ -81,8 +81,10 @@ class WindowData:
             raise ValueError("block_length must be >= 1")
         if self.count != len(self.sums) or self.count < 1:
             raise ValueError("count must equal len(sums) and be >= 1")
-        if self.noise_eps < 0.0:
-            raise ValueError("noise_eps must be nonnegative")
+        # Exact sums are Python ints of any size; math.isfinite would
+        # overflow on those above ~1.8e308.
+        if not all(_is_int(s) or math.isfinite(s) for s in self.sums):
+            raise ValueError("window sums must be finite")
 
     def to_json(self) -> str:
         return json.dumps(

@@ -36,12 +36,7 @@ class CaseStudyFixture:
     noise_level: float
 
     def observed(self) -> WindowData:
-        return WindowData(
-            self.observed_windows,
-            self.W,
-            len(self.observed_windows),
-            noise_eps=self.noise_level,
-        )
+        return WindowData(self.observed_windows, self.W, len(self.observed_windows))
 
     def true(self) -> WindowData:
         return WindowData(self.true_windows, self.W, len(self.true_windows))
@@ -93,10 +88,6 @@ _CASE_B_OBSERVED = (
     0.104636,
     0.060241,
 )
-
-# Case C is an outline only: a configuration preset with no fixture numbers.
-CASE_C_PRESET = {"label": "case-c", "d": 3, "W": 10}
-
 
 def _true_windows(mix: ExponentialMixture, W: int, count: int) -> tuple:
     seq = mixture_sequence(mix, W * count - 1)

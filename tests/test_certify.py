@@ -147,6 +147,10 @@ class TestPipeline:
     def test_noise_beyond_regime(self):
         with pytest.raises(ValueError):
             pipeline(neutral_windows(1.0, 4, 4), 1, noise_eps=0.5)
+        # NaN passes every ordered check and would certify constant windows
+        # as nonzero.
+        with pytest.raises(ValueError):
+            pipeline(neutral_windows(1.0, 4, 4), 1, noise_eps=math.nan)
 
     def test_report_json_schema(self):
         import json

@@ -1,4 +1,5 @@
 import json
+import math
 
 import jsonschema
 import pytest
@@ -51,6 +52,22 @@ class TestWindows:
 
     def test_bad_pi0_length(self):
         assert main(["windows", "-d", "2", "-W", "2", "-K", "5", "--pi0", "1 2 3"]) == 2
+
+    def test_sequence_file_collision(self, tmp_path, capsys):
+        # The collision pair agrees on the first K+1 = 12 windows and
+        # differs in the next one, which holds its first two unit bumps.
+        prefix = tmp_path / "coll"
+        assert main(["synth", "collision", "-d", "3", "-W", "8", "-K", "11",
+                     "--out", str(prefix)]) == 0
+        sums = {}
+        for name in ("in", "out"):
+            out = tmp_path / f"{name}.json"
+            rc = main(["windows", "-W", "8", "-K", "13", "--sequence-file",
+                       f"{prefix}.{name}.csv", "--out", str(out)])
+            assert rc == 0
+            sums[name] = json.loads(out.read_text())["sums"]
+        assert sums["in"][:12] == sums["out"][:12]
+        assert sums["out"][12] == pytest.approx(sums["in"][12] + 2.0, rel=1e-12)
 
     def test_exact_mode_rejects_floats(self):
         rc = main(
@@ -146,7 +163,9 @@ class TestCertify:
         out = tmp_path / "r.json"
         rc = main(["certify", path, "-d", "1", "--out", str(out)])
         assert rc == 0
-        assert json.loads(out.read_text())["decision"] == "zero"
+        obj = json.loads(out.read_text())
+        assert obj["decision"] == "zero"
+        assert obj["bound_vacuous"] is False
 
     def test_case_a_nonzero_exit(self, tmp_path):
         from windowcert.synth import case_a_fixture
@@ -191,26 +210,101 @@ class TestSynth:
         assert main(["synth", "case-z"]) == 2
 
 
-class TestConfigOverride:
-    def test_config_file_applies(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"K": 3}))
-        out = tmp_path / "w.json"
-        rc = main(
-            ["windows", "-d", "1", "-W", "2", "-K", "2", "--pi0", "1 2 -2",
-             "--config", str(cfg), "--out", str(out)]
-        )
-        assert rc == 0
-        assert json.loads(out.read_text())["K"] == 3
+class TestRejectedInput:
+    """Bad input exits 2 with one ``error:`` line on stderr, never a traceback."""
 
-    def test_bad_config_file(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{oops")
-        rc = main(
-            ["windows", "-d", "1", "-W", "2", "-K", "2", "--pi0", "1 2 -2",
-             "--config", str(cfg)]
-        )
-        assert rc == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # W * K samples do not reach y_d.
+            ["windows", "-d", "3", "-W", "1", "-K", "1", "--pi0", WITNESS_PI0],
+            ["windows", "-W", "2", "-K", "2"],
+            ["windows", "-W", "2", "-K", "2", "--pi0", "1 1 -1"],
+        ],
+    )
+    def test_bad_arguments(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_degree(self, tmp_path, capsys):
+        path = write_windows(tmp_path / "w.json", [2.0, 5.0, 13.0, 35.0], 2)
+        assert main(["reconstruct", path, "-d", "0"]) == 2
+        assert capsys.readouterr().err == "error: d must be >= 1\n"
+
+    @pytest.mark.parametrize("command", ["reconstruct", "certify"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_sums(self, tmp_path, capsys, command, literal):
+        path = tmp_path / "w.json"
+        path.write_text(f'{{"W": 2, "K": 4, "sums": [2.0, {literal}, 13.0, 35.0]}}')
+        assert main([command, str(path), "-d", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: malformed windows file {path}: window sums must be finite\n"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--config", "cfg.json"],
+            ["--params-file", "p.json"],
+            ["--mode", "float"],
+            ["--prime", "7"],
+            ["--seed", "1"],
+        ],
+    )
+    def test_removed_options(self, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["windows", "-d", "1", "-W", "2", "-K", "2", "--pi0", "1 1 -1", *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+    @pytest.mark.parametrize("level,code", [("verbose", 2), ("debug", 0)])
+    def test_log_level(self, monkeypatch, capsys, level, code):
+        monkeypatch.setenv("WINDOWCERT_LOG", level)
+        assert main(["windows", "-d", "1", "-W", "2", "-K", "2", "--pi0", "1 1 -1"]) == code
+        err = capsys.readouterr().err
+        assert err == ("error: unknown WINDOWCERT_LOG level 'VERBOSE'\n" if code else "")
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_vacuous_bound_is_null(self, tmp_path):
+        from windowcert.synth import case_a_fixture
+
+        fixture = case_a_fixture()
+        path = write_windows(tmp_path / "w.json", fixture.true_windows, fixture.W)
+        out = tmp_path / "r.json"
+        main(["certify", path, "-d", "3", "--noise-eps", "1e-6", "--out", str(out)])
+        obj = _strict_json(out.read_text())
+        assert obj["threshold"] is None
+        assert obj["bound_vacuous"] is True
+
+    def test_degenerate_model_conditions_are_null(self, tmp_path):
+        path = write_windows(tmp_path / "w.json", [1.0, 2.0, 4.0, 8.0], 2)
+        out = tmp_path / "m.json"
+        assert main(["reconstruct", path, "-d", "2", "--out", str(out)]) == 1
+        obj = _strict_json(out.read_text())
+        assert obj["vandermonde_condition"] is None
+        report = tmp_path / "r.json"
+        assert main(["certify", path, "-d", "2", "--out", str(report)]) == 3
+        obj = _strict_json(report.read_text())
+        assert obj["model"]["vandermonde_condition"] is None
+        assert obj["bound_vacuous"] is False
+
+    def test_non_finite_output_refused(self, capsys):
+        with pytest.raises(ValueError):
+            _emit_json(
+                {"decision": "zero", "flags": [], "bound_vacuous": True, "L": math.inf},
+                REPORT_SCHEMA,
+                None,
+            )
+        assert capsys.readouterr().out == ""
 
 
 class TestReusedParserAndValidators:

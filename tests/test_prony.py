@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +181,14 @@ class TestReconstruct:
         np.testing.assert_allclose(back.nodes, model.nodes)
         np.testing.assert_allclose(back.amplitudes, model.amplitudes)
         assert back.flags == model.flags
+
+    def test_json_non_finite_conditions_are_null(self):
+        model = prony_reconstruct([1.0, 2.0, 4.0, 8.0], 2)
+        assert model.vandermonde_condition == np.inf
+        obj = json.loads(model.to_json())
+        assert obj["vandermonde_condition"] is None
+        back = PronyModel.from_json(model.to_json())
+        assert back.vandermonde_condition == np.inf
 
     def test_json_roundtrip_complex(self):
         model = prony_reconstruct([1.0, 0.5, -1.0, -0.5, 1.0, 0.5], 2)

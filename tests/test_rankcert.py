@@ -11,7 +11,6 @@ from windowcert.rankcert import (
     hankel_witness_det,
     is_prime,
     jacobian,
-    jacobian_mod,
     search_witness,
 )
 from windowcert.signal import RationalParams, generate_sequence, window_map, window_sums
@@ -54,12 +53,6 @@ class TestJacobian:
         jac = jacobian(WITNESS, WITNESS_W)
         assert tuple(tuple(row) for row in jac) == WITNESS_JACOBIAN
 
-    def test_modular_matches_exact(self):
-        jac = jacobian(WITNESS, WITNESS_W)
-        jac_p = jacobian_mod(WITNESS, WITNESS_W, PRIME)
-        for row, row_p in zip(jac, jac_p):
-            assert [v % PRIME for v in row] == row_p
-
     def test_finite_difference_consistency(self):
         # Central differences of the float window map agree with the exact
         # Jacobian columns at the witness point.
@@ -76,12 +69,6 @@ class TestJacobian:
             fd = (f_hi - f_lo) / (2 * h)
             scale = np.maximum(np.abs(jac[:, col]), 1.0)
             np.testing.assert_allclose(fd / scale, jac[:, col] / scale, atol=1e-4)
-
-    def test_modular_requires_prime_and_integers(self):
-        with pytest.raises(ValueError):
-            jacobian_mod(WITNESS, WITNESS_W, 10)
-        with pytest.raises(ValueError):
-            jacobian_mod(RationalParams((1.0, 2.0), (0.5,), 1), 2, PRIME)
 
 
 def _propagated_jacobian(params, W):
@@ -146,12 +133,6 @@ class TestAssemblyProperties:
         # The absolute 1e-300 only admits underflow: subnormal inputs round
         # to an absolute grid, not a relative one.
         assert np.all(np.abs(fast - ref) <= 1e-9 * scale + 1e-300)
-
-    @settings(max_examples=50, deadline=None)
-    @given(integer_points(), blocks)
-    def test_modular_determinant_matches_exact(self, params, W):
-        residue = det_mod(jacobian(params, W), PRIME)
-        assert det_mod(jacobian_mod(params, W, PRIME), PRIME) == residue
 
     @settings(max_examples=50, deadline=None)
     @given(integer_points(), blocks)
@@ -233,8 +214,13 @@ class TestCertifyWitness:
         assert cert.det_residue == 0
 
     def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
+        # Also the other argument checks: float parameters, composite modulus.
+        with pytest.raises(ValueError, match="degree"):
             certify_witness(WITNESS, 2, WITNESS_W, PRIME)
+        with pytest.raises(ValueError, match="integer"):
+            certify_witness(RationalParams((1.0, 2.0), (0.5,), 1), 1, 2, PRIME)
+        with pytest.raises(ValueError, match="not prime"):
+            certify_witness(WITNESS, WITNESS_D, WITNESS_W, 10)
 
     def test_json_roundtrip(self):
         cert = certify_witness(WITNESS, WITNESS_D, WITNESS_W, PRIME)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -120,8 +122,16 @@ class TestWindowData:
             WindowData((1.0,), 0, 1)
         with pytest.raises(ValueError):
             WindowData((1.0,), 2, 3)
-        with pytest.raises(ValueError):
-            WindowData((1.0,), 2, 1, noise_eps=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sums_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WindowData((1.0, bad), 2, 2)
+
+    def test_huge_exact_sums_accepted(self):
+        # Exact sums are ints of any size; float() of this one overflows.
+        big = 3**700
+        assert WindowData((big, -big), 2, 2).sums == (big, -big)
 
 
 class TestExponentialMixture:
