@@ -10,7 +10,6 @@ reciprocal cost against a noise-derived threshold.  Outcomes are ternary:
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -58,23 +57,21 @@ class CertReport:
     reconstruction: Optional[PronyModel]
     flags: frozenset = field(default_factory=frozenset)
 
-    def to_json(self) -> str:
-        """Strict JSON: non-finite values are null, and ``bound_vacuous``
-        says whether the threshold is infinite."""
-        return json.dumps(
-            {
-                "decision": self.decision.value,
-                "certificate_value": finite_or_none(self.certificate_value),
-                "defect": finite_or_none(self.defect_estimate),
-                "threshold": finite_or_none(self.threshold),
-                "bound_vacuous": self.threshold == math.inf,
-                "L": finite_or_none(self.lipschitz_estimate),
-                "flags": sorted(self.flags),
-                "model": json.loads(self.reconstruction.to_json())
-                if self.reconstruction is not None
-                else None,
-            }
-        )
+    def to_dict(self) -> dict:
+        """The report document: non-finite values are None (JSON null), and
+        ``bound_vacuous`` says whether the threshold is infinite."""
+        return {
+            "decision": self.decision.value,
+            "certificate_value": finite_or_none(self.certificate_value),
+            "defect": finite_or_none(self.defect_estimate),
+            "threshold": finite_or_none(self.threshold),
+            "bound_vacuous": self.threshold == math.inf,
+            "L": finite_or_none(self.lipschitz_estimate),
+            "flags": sorted(self.flags),
+            "model": self.reconstruction.to_dict()
+            if self.reconstruction is not None
+            else None,
+        }
 
 
 def eps_bound(L: float, K: int, eps0: float, eps: float) -> float:

@@ -7,10 +7,10 @@ Exit codes are part of the contract:
   2  malformed input or invalid configuration
   3  inconclusive outcome / search exhaustion
 
-All JSON documents are schema-validated before they are written and are
-strict RFC 8259: non-finite floats are written as null.  Large integers are
-serialized as strings; CSV holds decimal text.  ``WINDOWCERT_LOG`` sets the
-log level (default WARNING).
+Each JSON document is produced by one encoder, the ``to_dict`` of its type,
+and is strict RFC 8259: non-finite floats are written as null.  Large
+integers are serialized as strings; CSV holds decimal text.
+``WINDOWCERT_LOG`` sets the log level (default WARNING).
 """
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-import jsonschema
-
 from .certify import Decision, pipeline
 from .prony import prony_reconstruct
 from .rankcert import certify_witness, search_witness
@@ -32,70 +30,8 @@ from .synth import case_a_fixture, case_b_fixture, collision_pair
 
 log = logging.getLogger("windowcert")
 
-_INT_STRING = {"type": "string", "pattern": "^-?[0-9]+$"}
-
-WINDOWS_SCHEMA = {
-    "type": "object",
-    "required": ["W", "K", "sums"],
-    "properties": {
-        "W": {"type": "integer", "minimum": 1},
-        "K": {"type": "integer", "minimum": 1},
-        "sums": {"type": "array", "items": {"type": "number"}},
-    },
-}
-
-CERTIFICATE_SCHEMA = {
-    "type": "object",
-    "required": ["d", "W", "p", "pi0", "window_sums", "jacobian", "det_mod_p", "nonzero", "exact"],
-    "properties": {
-        "d": {"type": "integer", "minimum": 1},
-        "W": {"type": "integer", "minimum": 1},
-        "p": {"type": "integer", "minimum": 2},
-        "pi0": {"type": "array", "items": {"type": "integer"}},
-        "window_sums": {"type": "array", "items": _INT_STRING},
-        "jacobian": {"type": "array", "items": {"type": "array", "items": _INT_STRING}},
-        "det_mod_p": {"type": "integer", "minimum": 0},
-        "nonzero": {"type": "boolean"},
-        "exact": {"type": "boolean"},
-    },
-}
-
-MODEL_SCHEMA = {
-    "type": "object",
-    "required": ["nodes", "amplitudes", "char_coeffs", "flags"],
-    "properties": {"flags": {"type": "array", "items": {"type": "string"}}},
-}
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["decision", "flags", "bound_vacuous"],
-    "properties": {
-        "decision": {"enum": ["zero", "nonzero", "inconclusive"]},
-        "flags": {"type": "array", "items": {"type": "string"}},
-        "bound_vacuous": {"type": "boolean"},
-    },
-}
-
-
 class CliError(Exception):
     """Bad input or configuration; mapped to exit code 2."""
-
-
-# One validator per schema, built on first use.  Keyed by id(schema): the
-# validator holds its schema, so the id stays unique while it is cached.
-_VALIDATORS: dict = {}
-
-
-def _validate(obj, schema: dict) -> None:
-    """``jsonschema.validate`` without re-checking the schema on every call."""
-    validator = _VALIDATORS.get(id(schema))
-    if validator is None:
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        validator = _VALIDATORS[id(schema)] = cls(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
-    if error is not None:
-        raise error
 
 
 def _write(text: str, out: str | None) -> None:
@@ -106,8 +42,7 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_json(obj: dict, schema: dict, out: str | None) -> None:
-    _validate(obj, schema)
+def _emit_json(obj: dict, out: str | None) -> None:
     _write(json.dumps(obj, indent=2, allow_nan=False), out)
 
 
@@ -116,15 +51,14 @@ def _load_windows(path: str) -> WindowData:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    if path.endswith(".csv"):
+        raise CliError(
+            "CSV window input needs a block length; use the JSON format"
+        )
     try:
-        if path.endswith(".csv"):
-            raise CliError(
-                "CSV window input needs a block length; use the JSON format"
-            )
-        obj = json.loads(text)
-        _validate(obj, WINDOWS_SCHEMA)
-        return WindowData(tuple(obj["sums"]), int(obj["W"]), int(obj["K"]))
-    except (json.JSONDecodeError, jsonschema.ValidationError, ValueError) as exc:
+        return WindowData.from_dict(json.loads(text))
+    except ValueError as exc:
+        # json.JSONDecodeError is a ValueError.
         raise CliError(f"malformed windows file {path}: {exc}") from exc
 
 
@@ -155,7 +89,7 @@ def cmd_windows(args) -> int:
     if args.out and args.out.endswith(".csv"):
         _write(data.to_csv(), args.out)
     else:
-        _emit_json(json.loads(data.to_json()), WINDOWS_SCHEMA, args.out)
+        _emit_json(data.to_dict(), args.out)
     return 0
 
 
@@ -177,7 +111,7 @@ def cmd_witness(args) -> int:
         cert = certify_witness(params, args.d, args.W, args.prime)
     else:
         raise CliError("provide --pi0 or --search")
-    _emit_json(json.loads(cert.to_json()), CERTIFICATE_SCHEMA, args.out)
+    _emit_json(cert.to_dict(), args.out)
     return 0 if cert.nonzero else 1
 
 
@@ -186,14 +120,14 @@ def cmd_reconstruct(args) -> int:
     if data.count < 2 * args.d:
         raise CliError(f"need at least 2d={2 * args.d} windows, got {data.count}")
     model = prony_reconstruct(data, args.d)
-    _emit_json(json.loads(model.to_json()), MODEL_SCHEMA, args.out)
+    _emit_json(model.to_dict(), args.out)
     return 1 if model.degenerate else 0
 
 
 def cmd_certify(args) -> int:
     data = _load_windows(args.windows)
     report = pipeline(data, args.d, noise_eps=args.noise_eps)
-    _emit_json(json.loads(report.to_json()), REPORT_SCHEMA, args.out)
+    _emit_json(report.to_dict(), args.out)
     return {Decision.ZERO: 0, Decision.NONZERO: 1, Decision.INCONCLUSIVE: 3}[
         report.decision
     ]

@@ -9,7 +9,6 @@ amplitudes) are reported as flags on the model, never as exceptions.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -63,26 +62,22 @@ class PronyModel:
         vals = (amp[None, :] * mu[None, :] ** k[:, None]).sum(axis=1)
         return vals.real if not np.iscomplexobj(np.asarray(self.nodes)) else vals
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         def enc(v):
             v = complex(v)
             return v.real if v.imag == 0.0 else {"re": v.real, "im": v.imag}
 
-        return json.dumps(
-            {
-                "nodes": [enc(v) for v in self.nodes],
-                "amplitudes": [enc(v) for v in self.amplitudes],
-                "char_coeffs": [enc(v) for v in self.char_coeffs],
-                "hankel_condition": finite_or_none(self.hankel_condition),
-                "vandermonde_condition": finite_or_none(self.vandermonde_condition),
-                "flags": sorted(self.flags),
-            }
-        )
+        return {
+            "nodes": [enc(v) for v in self.nodes],
+            "amplitudes": [enc(v) for v in self.amplitudes],
+            "char_coeffs": [enc(v) for v in self.char_coeffs],
+            "hankel_condition": finite_or_none(self.hankel_condition),
+            "vandermonde_condition": finite_or_none(self.vandermonde_condition),
+            "flags": sorted(self.flags),
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "PronyModel":
-        obj = json.loads(text)
-
+    def from_dict(cls, obj: dict) -> "PronyModel":
         def dec(v):
             return complex(v["re"], v["im"]) if isinstance(v, dict) else float(v)
 

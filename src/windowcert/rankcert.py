@@ -30,7 +30,6 @@ precision, so exact assembly never overflows).
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from operator import mul
@@ -162,24 +161,21 @@ class RankCertificate:
     window_sums: tuple
     exact: bool = True
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "W": self.W,
-                "p": self.prime,
-                "pi0": [int(v) for v in self.params.as_vector()],
-                "window_sums": [str(v) for v in self.window_sums],
-                "jacobian": [[str(v) for v in row] for row in self.jacobian],
-                "det_mod_p": self.det_residue,
-                "nonzero": self.nonzero,
-                "exact": self.exact,
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "d": self.d,
+            "W": self.W,
+            "p": self.prime,
+            "pi0": [int(v) for v in self.params.as_vector()],
+            "window_sums": [str(v) for v in self.window_sums],
+            "jacobian": [[str(v) for v in row] for row in self.jacobian],
+            "det_mod_p": self.det_residue,
+            "nonzero": self.nonzero,
+            "exact": self.exact,
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "RankCertificate":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "RankCertificate":
         d = int(obj["d"])
         return cls(
             params=RationalParams.from_vector([int(v) for v in obj["pi0"]], d),
@@ -233,6 +229,8 @@ def search_witness(
     [-bound, bound], skipping the all-zero recurrence.  Returns None after
     max_trials failures.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if coordinate_bound < 1:
         raise ValueError("coordinate_bound must be >= 1")
     if not is_prime(p):

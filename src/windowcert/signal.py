@@ -86,19 +86,40 @@ class WindowData:
         if not all(_is_int(s) or math.isfinite(s) for s in self.sums):
             raise ValueError("window sums must be finite")
 
+    def to_dict(self) -> dict:
+        """The windows document; exact sums are written as floats."""
+        try:
+            sums = [float(s) for s in self.sums]
+        except OverflowError as exc:
+            raise ValueError("a window sum exceeds the float range") from exc
+        return {"W": self.block_length, "K": self.count, "sums": sums}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "W": self.block_length,
-                "K": self.count,
-                "sums": [float(s) for s in self.sums],
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, text: str) -> "WindowData":
-        obj = json.loads(text)
-        return cls(tuple(obj["sums"]), int(obj["W"]), int(obj["K"]))
+    def from_dict(cls, obj) -> "WindowData":
+        """Check and decode a windows document read from outside the program.
+
+        W and K are integers >= 1, where an integral float such as 8.0 counts;
+        sums is a list of numbers; other keys are ignored.  Every rejection is
+        a ValueError with a one-line reason.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object with keys W, K and sums")
+        for key in ("W", "K", "sums"):
+            if key not in obj:
+                raise ValueError(f"missing key {key!r}")
+        for key in ("W", "K"):
+            v = obj[key]
+            if not (_is_int(v) or isinstance(v, float) and v.is_integer()) or v < 1:
+                raise ValueError(f"{key} must be an integer >= 1")
+        sums = obj["sums"]
+        if not isinstance(sums, list) or not all(
+            _is_int(s) or isinstance(s, float) for s in sums
+        ):
+            raise ValueError("sums must be a list of numbers")
+        return cls(tuple(sums), int(obj["W"]), int(obj["K"]))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -107,14 +128,6 @@ class WindowData:
         for k, s in enumerate(self.sums):
             writer.writerow([k, repr(s) if isinstance(s, float) else s])
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, block_length: int) -> "WindowData":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0][:2] != ["k", "S_k"]:
-            raise ValueError("expected CSV header 'k,S_k'")
-        sums = tuple(float(r[1]) for r in rows[1:] if r)
-        return cls(sums, block_length, len(sums))
 
 
 def generate_sequence(params: RationalParams, n_max: int) -> list:

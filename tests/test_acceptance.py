@@ -11,30 +11,31 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from windowcert import (
+from windowcert.certify import (
+    CostedCandidates,
     Decision,
+    decide_certificate,
+    pipeline,
+    rank_candidates,
+)
+from windowcert.cost import (
     RatioBand,
+    cost,
+    lipschitz_constant,
+    quadratic_upper_bound,
+    rcl_residual,
+)
+from windowcert.loggeom import project_mean_zero
+from windowcert.prony import prony_reconstruct
+from windowcert.rankcert import det_mod, hankel_witness_det, jacobian
+from windowcert.signal import (
     RationalParams,
     WindowData,
-    CostedCandidates,
-    case_a_fixture,
-    cost,
-    decide_certificate,
-    hankel_witness_det,
-    jacobian,
-    lipschitz_constant,
+    generate_sequence,
     mixture_window_params,
-    pipeline,
-    project_mean_zero,
-    prony_reconstruct,
-    quadratic_upper_bound,
-    rank_candidates,
-    rcl_residual,
     window_sums,
 )
-from windowcert.rankcert import det_mod
-from windowcert.signal import generate_sequence
-from windowcert.synth import collision_pair, recurrence_fit_residual
+from windowcert.synth import case_a_fixture, collision_pair, recurrence_fit_residual
 
 from reference_data import (
     CASE_A_TABLE_OBSERVED,

@@ -153,10 +153,8 @@ class TestPipeline:
             pipeline(neutral_windows(1.0, 4, 4), 1, noise_eps=math.nan)
 
     def test_report_json_schema(self):
-        import json
-
         report = pipeline(neutral_windows(1.0, 8, 7), 1)
-        obj = json.loads(report.to_json())
+        obj = report.to_dict()
         assert obj["decision"] == "zero"
         assert isinstance(obj["flags"], list)
         assert obj["model"] is not None

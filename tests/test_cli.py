@@ -1,10 +1,10 @@
 import json
 import math
+import re
 
-import jsonschema
 import pytest
 
-from windowcert.cli import REPORT_SCHEMA, WINDOWS_SCHEMA, _emit_json, main
+from windowcert.cli import _emit_json, main
 from windowcert.signal import WindowData
 
 from reference_data import (
@@ -144,17 +144,15 @@ class TestReconstruct:
         assert main(["reconstruct", str(tmp_path / "nope.json"), "-d", "1"]) == 2
 
     def test_schema_violation_message(self, tmp_path, capsys):
-        # Two errors, of which jsonschema.validate reports the second, not
-        # the first that iter_errors yields; so on every call.
-        obj = {"W": 1, "K": 2, "sums": [[1.0], "x"]}
+        # Two bad sums, one reason; the same one on every call.
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(obj))
-        with pytest.raises(jsonschema.ValidationError) as expected:
-            jsonschema.validate(obj, WINDOWS_SCHEMA)
+        bad.write_text(json.dumps({"W": 1, "K": 2, "sums": [[1.0], "x"]}))
         for _ in range(2):
             assert main(["reconstruct", str(bad), "-d", "1"]) == 2
             err = capsys.readouterr().err
-            assert err == f"error: malformed windows file {bad}: {expected.value}\n"
+            assert err == (
+                f"error: malformed windows file {bad}: sums must be a list of numbers\n"
+            )
 
 
 class TestCertify:
@@ -258,6 +256,45 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert sum("error:" in line for line in err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[2.0, 5.0]",
+            '"W K sums"',
+            '{"W": 2, "K": 2}',
+            '{"W": 2.5, "K": 2, "sums": [2.0, 5.0]}',
+            '{"W": true, "K": 2, "sums": [2.0, 5.0]}',
+            '{"W": 2, "K": 2, "sums": ["x", 5.0]}',
+            '{"W": 2, "K": 2, "sums": [true, 5.0]}',
+            '{"W": 2, "K": 2, "sums": [[2.0], 5.0]}',
+        ],
+        ids=["list", "string", "missing_sums", "W_fraction", "W_bool", "sum_string", "sum_bool", "sum_list"],
+    )
+    def test_malformed_windows_file(self, tmp_path, capsys, text):
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        assert main(["reconstruct", str(path), "-d", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed windows file {path}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_integral_float_and_extra_key_accepted(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"W": 8.0, "K": 2, "sums": [2.0, 5.0], "note": "x"}')
+        assert main(["reconstruct", str(path), "-d", "1"]) == 0
+
+    def test_window_sum_beyond_float_range(self, capsys):
+        # The exact sums reach about 10^399, which no float holds.
+        argv = ["windows", "-d", "1", "-W", "1", "-K", "400", "--pi0", "1 1 -10"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: a window sum exceeds the float range\n"
+        )
+
+    def test_witness_search_zero_degree(self, capsys):
+        assert main(["witness", "-d", "0", "-W", "3", "--search"]) == 2
+        assert capsys.readouterr().err == "error: d must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("level,code", [("verbose", 2), ("debug", 0)])
     def test_log_level(self, monkeypatch, capsys, level, code):
         monkeypatch.setenv("WINDOWCERT_LOG", level)
@@ -301,19 +338,109 @@ class TestStrictJson:
         with pytest.raises(ValueError):
             _emit_json(
                 {"decision": "zero", "flags": [], "bound_vacuous": True, "L": math.inf},
-                REPORT_SCHEMA,
                 None,
             )
         assert capsys.readouterr().out == ""
 
 
-class TestReusedParserAndValidators:
-    def test_schema_invalid_report_raises(self, capsys):
-        for _ in range(2):
-            with pytest.raises(jsonschema.ValidationError):
-                _emit_json({"decision": "maybe", "flags": []}, REPORT_SCHEMA, None)
-        assert capsys.readouterr().out == ""
+def _is_int(v):
+    return type(v) is int
 
+
+def _is_int_text(v):
+    return isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v) is not None
+
+
+def _float_or_null(v):
+    return v is None or isinstance(v, float)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(check(x) for x in v)
+
+
+def _real_or_complex(v):
+    return isinstance(v, float) or (
+        isinstance(v, dict)
+        and set(v) == {"re", "im"}
+        and all(isinstance(x, float) for x in v.values())
+    )
+
+
+MODEL_SHAPE = {
+    "nodes": _list_of(_real_or_complex),
+    "amplitudes": _list_of(_real_or_complex),
+    "char_coeffs": _list_of(_real_or_complex),
+    "hankel_condition": _float_or_null,
+    "vandermonde_condition": _float_or_null,
+    "flags": _list_of(lambda v: isinstance(v, str)),
+}
+
+DOCUMENT_SHAPES = {
+    "windows": {
+        "W": lambda v: _is_int(v) and v >= 1,
+        "K": lambda v: _is_int(v) and v >= 1,
+        "sums": _list_of(lambda v: isinstance(v, float)),
+    },
+    "witness": {
+        "d": lambda v: _is_int(v) and v >= 1,
+        "W": lambda v: _is_int(v) and v >= 1,
+        "p": lambda v: _is_int(v) and v >= 2,
+        "pi0": _list_of(_is_int),
+        "window_sums": _list_of(_is_int_text),
+        "jacobian": _list_of(_list_of(_is_int_text)),
+        "det_mod_p": lambda v: _is_int(v) and v >= 0,
+        "nonzero": lambda v: isinstance(v, bool),
+        "exact": lambda v: isinstance(v, bool),
+    },
+    "reconstruct": MODEL_SHAPE,
+    "certify": {
+        "decision": lambda v: v in ("zero", "nonzero", "inconclusive"),
+        "certificate_value": _float_or_null,
+        "defect": _float_or_null,
+        "threshold": _float_or_null,
+        "bound_vacuous": lambda v: isinstance(v, bool),
+        "L": _float_or_null,
+        "flags": _list_of(lambda v: isinstance(v, str)),
+        "model": lambda v: _has_shape(v, MODEL_SHAPE),
+    },
+}
+
+
+def _has_shape(obj, shape):
+    return (
+        isinstance(obj, dict)
+        and set(obj) == set(shape)
+        and all(check(obj[key]) for key, check in shape.items())
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["windows", "-d", "3", "-W", "8", "-K", "7", "--pi0", WITNESS_PI0],
+        ["witness", "-d", "3", "-W", "8", "--pi0", WITNESS_PI0],
+        ["witness", "-d", "2", "-W", "3", "--search"],
+        ["reconstruct", "{windows}", "-d", "2"],
+        ["reconstruct", "{degenerate}", "-d", "2"],
+        ["certify", "{windows}", "-d", "2"],
+        ["certify", "{degenerate}", "-d", "2"],
+    ],
+    ids=["windows", "witness", "search", "reconstruct", "reconstruct_degenerate",
+         "certify", "certify_degenerate"],
+)
+def test_document_shape(tmp_path, capsys, argv):
+    # The key set and value types of each document that the CLI writes.
+    paths = {
+        "windows": write_windows(tmp_path / "w.json", [2.0, 5.0, 13.0, 35.0], 2),
+        "degenerate": write_windows(tmp_path / "g.json", [1.0, 2.0, 4.0, 8.0], 2),
+    }
+    main([arg.format(**paths) for arg in argv])
+    obj = _strict_json(capsys.readouterr().out)
+    assert _has_shape(obj, DOCUMENT_SHAPES[argv[0]])
+
+
+class TestReusedParserAndValidators:
     def test_consecutive_calls_get_independent_arguments(self, tmp_path, capsys):
         path = write_windows(tmp_path / "w.json", [8.0] * 7, 8)
         report = tmp_path / "r.json"
@@ -335,6 +462,6 @@ def test_roundtrip_windows_to_certify(tmp_path):
     rc = main(["windows", "-d", "1", "-W", "3", "-K", "4", "--pi0", "2 2 -1",
                "--out", str(wpath)])
     assert rc == 0
-    data = WindowData.from_json(wpath.read_text())
+    data = WindowData.from_dict(json.loads(wpath.read_text()))
     assert data.sums == (6.0, 6.0, 6.0, 6.0)
     assert main(["certify", str(wpath), "-d", "1"]) == 0

@@ -224,7 +224,7 @@ class TestCertifyWitness:
 
     def test_json_roundtrip(self):
         cert = certify_witness(WITNESS, WITNESS_D, WITNESS_W, PRIME)
-        back = RankCertificate.from_json(cert.to_json())
+        back = RankCertificate.from_dict(cert.to_dict())
         assert back == cert
 
 
@@ -241,6 +241,12 @@ class TestSearchWitness:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             search_witness(1, 1, coordinate_bound=0, p=PRIME)
+
+    def test_degree_validation(self):
+        # d < 1 leaves every trial without a recurrence; it is bad input,
+        # not an exhausted search.
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            search_witness(0, 3, coordinate_bound=5, p=PRIME)
 
 
 class TestHankelWitnessDet:

@@ -103,19 +103,10 @@ class TestWindowSums:
 class TestWindowData:
     def test_json_roundtrip(self):
         data = WindowData((1.5, 2.5, -3.0), 4, 3)
-        back = WindowData.from_json(data.to_json())
+        back = WindowData.from_dict(data.to_dict())
         assert back.sums == data.sums
         assert back.block_length == 4
         assert back.count == 3
-
-    def test_csv_roundtrip(self):
-        data = WindowData((1.25, -0.5), 2, 2)
-        back = WindowData.from_csv(data.to_csv(), 2)
-        assert back.sums == data.sums
-
-    def test_csv_header_required(self):
-        with pytest.raises(ValueError):
-            WindowData.from_csv("a,b\n1,2\n", 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
