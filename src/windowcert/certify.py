@@ -154,10 +154,8 @@ def _samples_from_model(model: PronyModel, W: int, n_samples: int):
 
 def _params_from_samples(rates, samples, d: int) -> RationalParams:
     """Rational parameters of the reconstructed sample signal."""
-    poly = np.poly(np.asarray(rates))
-    recurrence = tuple(float(c) for c in poly[1:])
-    initial = tuple(float(v) for v in samples[: d + 1])
-    return RationalParams(initial, recurrence, d)
+    recurrence = np.poly(np.asarray(rates))[1:].tolist()
+    return RationalParams(samples[: d + 1].tolist(), recurrence, d)
 
 
 def _inconclusive(model: Optional[PronyModel], flags) -> CertReport:
@@ -182,8 +180,8 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     K = w.count
     if K < 2 * d:
         raise ValueError(f"need at least 2d={2 * d} windows, got {K}")
-    if not noise_eps >= 0.0:  # also rejects NaN, which no comparison admits
-        raise ValueError("noise_eps must be nonnegative")
+    if not 0.0 <= noise_eps <= EPS0:  # also rejects NaN, which no comparison admits
+        raise ValueError(f"noise_eps={noise_eps} is outside [0, eps0={EPS0}]")
 
     model = prony_reconstruct(w, d)
     if model.degenerate:
@@ -194,7 +192,7 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     if rebuilt is None:
         return _inconclusive(model, {POSITIVITY})
     rates, _, samples = rebuilt
-    if np.any(samples <= 0.0) or not np.all(np.isfinite(samples)):
+    if not (samples.min() > 0.0 and samples.max() < math.inf):  # NaN fails both
         return _inconclusive(model, {POSITIVITY})
 
     try:
@@ -205,19 +203,20 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
         return _inconclusive(model, {LIPSCHITZ_SINGULAR})
 
     threshold = eps_bound(lipschitz, K, EPS0, noise_eps)
-    u = project_mean_zero(np.log(samples))
+    log_samples = np.log(samples)
+    u = project_mean_zero(log_samples)
     value = certificate_value(u)
-    defect_estimate = float(np.linalg.norm(u))
+    defect_estimate = math.sqrt(u.dot(u))  # np.linalg.norm of a real vector
 
     flags = set()
     if value <= max(threshold, CERTIFICATE_FLOOR):
         # A zero verdict additionally requires the observed windows to be
         # consistent with a constant (neutral) realization within the noise.
-        neutral_level = float(np.exp(np.mean(np.log(samples))))
+        neutral_level = float(np.exp(log_samples.mean()))
         neutral_sums = w.block_length * neutral_level
         slack = noise_eps + NEUTRAL_SLACK * max(1.0, abs(neutral_sums))
         observed = np.asarray(w.sums, dtype=float)
-        if np.max(np.abs(observed - neutral_sums)) <= slack:
+        if np.abs(observed - neutral_sums).max() <= slack:
             decision = Decision.ZERO
         else:
             decision = Decision.INCONCLUSIVE

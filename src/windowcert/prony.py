@@ -112,18 +112,20 @@ def solve_recurrence_coeffs(S, d: int):
         raise ValueError("d must be >= 1")
     if len(s) < 2 * d:
         raise ValueError(f"need at least 2d={2 * d} window sums, got {len(s)}")
-    hankel = np.array([[s[i + j] for j in range(d)] for i in range(d)])
-    lhs = np.array([[s[k + d - m] for m in range(1, d + 1)] for k in range(d)])
+    i = np.arange(d)
+    hankel = s[i[:, None] + i]
+    # Row k of the solve matrix is (S_{k+d-1}, ..., S_k): the Hankel row reversed.
+    lhs = hankel[:, ::-1]
     rhs = -s[d : 2 * d]
-    sv = np.linalg.svd(hankel, compute_uv=False)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+    top, low = np.linalg.svd(hankel, compute_uv=False)[[0, -1]].tolist()
+    condition = top / low if low > 0.0 else math.inf
     flags = set()
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_RATIO * sv[0]:
+    if top == 0.0 or low < SINGULAR_RATIO * top:
         flags.add(HANKEL_SINGULAR)
         coeffs = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
     else:
         coeffs = np.linalg.solve(lhs, rhs)
-    return tuple(float(c) for c in coeffs), condition, flags
+    return tuple(coeffs.tolist()), condition, flags
 
 
 def _node_order(v):
@@ -135,30 +137,41 @@ def char_roots(coeffs):
     """Roots of t^d + a_1 t^{d-1} + ... + a_d, Newton-polished and ordered.
 
     Ordering is by descending modulus, ties broken by descending real then
-    imaginary part.  Returns (nodes, flags).
+    imaginary part.  Returns (nodes, flags).  The array operations, and so
+    the roundings, are those of ``np.roots`` and of ``np.polyval`` steps.
     """
     coeffs = tuple(coeffs)
     d = len(coeffs)
     if d == 0:
         raise ValueError("need at least one coefficient")
-    poly = np.concatenate([[1.0], np.asarray(coeffs, dtype=float)])
-    roots = np.roots(poly)
-    dpoly = np.polyder(poly)
+    poly = np.array((1.0, *coeffs), dtype=float)
+    n = max(k for k, c in enumerate(poly.tolist()) if c != 0.0)
+    companion = np.eye(n, k=-1)
+    companion[:1] = -poly[1 : n + 1]
+    # Trailing zero coefficients give exact zero roots, as in np.roots.
+    roots = np.concatenate([np.linalg.eigvals(companion), np.zeros(d - n)])
+    dpoly = poly[:-1] * np.arange(d, 0, -1)
     for _ in range(NEWTON_STEPS):
-        num = np.polyval(poly, roots)
-        den = np.polyval(dpoly, roots)
-        safe = np.where(np.abs(den) > 0.0, den, 1.0)
-        roots = roots - np.where(np.abs(den) > 0.0, num / safe, 0.0)
-    roots = sorted(roots, key=_node_order)
+        num = np.zeros_like(roots)
+        for c in poly:
+            num = num * roots + c
+        den = np.zeros_like(roots)
+        for c in dpoly:
+            den = den * roots + c
+        nonzero = np.abs(den) > 0.0
+        roots = roots - np.where(nonzero, num / np.where(nonzero, den, 1.0), 0.0)
+    # Python scalars: sorting and flagging only compare, subtract and take
+    # moduli, which round as in numpy.
+    roots = sorted(roots.tolist(), key=_node_order)
     flags = set()
     mags = [abs(r) for r in roots]
-    top = max(mags) if mags else 0.0
+    top = max(mags)
     if top > 0.0:
         if min(mags) < ZERO_NODE_RATIO * top:
             flags.add(ZERO_NODE)
         min_sep = min(
             (abs(roots[i] - roots[j]) for i in range(d) for j in range(i + 1, d)),
-            default=np.inf,
+            default=math.inf,
         )
         if min_sep < NODE_SEPARATION * top:
             flags.add(REPEATED_NODES)
@@ -185,18 +198,14 @@ def solve_amplitudes(S, nodes):
     if len(set(nodes)) != d:
         raise ValueError("nodes must be distinct")
     vdm = np.array([[mu**k for mu in nodes] for k in range(d)])
-    sv = np.linalg.svd(vdm, compute_uv=False)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+    top, low = np.linalg.svd(vdm, compute_uv=False)[[0, -1]].tolist()
+    condition = top / low if low > 0.0 else math.inf
     amps = np.linalg.solve(vdm, s[:d].astype(vdm.dtype))
     flags = set()
-    mags = np.abs(amps)
-    if mags.max() == 0.0 or mags.min() < ZERO_AMPLITUDE_RATIO * mags.max():
+    mags = np.abs(amps).tolist()
+    if max(mags) == 0.0 or min(mags) < ZERO_AMPLITUDE_RATIO * max(mags):
         flags.add(ZERO_AMPLITUDE)
-    if np.iscomplexobj(amps):
-        amps = tuple(complex(a) for a in amps)
-    else:
-        amps = tuple(float(a) for a in amps)
-    return amps, condition, flags
+    return tuple(amps.tolist()), condition, flags
 
 
 def prony_reconstruct(S, d: int) -> PronyModel:

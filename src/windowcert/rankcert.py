@@ -140,10 +140,11 @@ def det_mod(matrix, p: int) -> int:
             det = -det % p
         det = det * m[i][i] % p
         inv = pow(m[i][i], p - 2, p)
+        tail = m[i][i + 1 :]  # columns up to i are never read again
         for r in range(i + 1, n):
             f = m[r][i] * inv % p
             if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[i])]
+                m[r][i + 1 :] = [(a - f * b) % p for a, b in zip(m[r][i + 1 :], tail)]
     return det
 
 
@@ -231,6 +232,8 @@ def search_witness(
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    if W < 1 or max_trials < 0:
+        raise ValueError(f"need W >= 1 and max_trials >= 0, got {W} and {max_trials}")
     if coordinate_bound < 1:
         raise ValueError("coordinate_bound must be >= 1")
     if not is_prime(p):

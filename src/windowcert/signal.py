@@ -67,6 +67,13 @@ class RationalParams:
         return all(_is_int(v) for v in self.as_vector())
 
 
+def _floats(sums) -> list:
+    try:
+        return [float(s) for s in sums]
+    except OverflowError as exc:
+        raise ValueError("a window sum exceeds the float range") from exc
+
+
 @dataclass(frozen=True)
 class WindowData:
     """K window sums at block length W."""
@@ -88,11 +95,7 @@ class WindowData:
 
     def to_dict(self) -> dict:
         """The windows document; exact sums are written as floats."""
-        try:
-            sums = [float(s) for s in self.sums]
-        except OverflowError as exc:
-            raise ValueError("a window sum exceeds the float range") from exc
-        return {"W": self.block_length, "K": self.count, "sums": sums}
+        return {"W": self.block_length, "K": self.count, "sums": _floats(self.sums)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -119,6 +122,7 @@ class WindowData:
             _is_int(s) or isinstance(s, float) for s in sums
         ):
             raise ValueError("sums must be a list of numbers")
+        _floats(sums)  # the reconstruction computes in floats
         return cls(tuple(sums), int(obj["W"]), int(obj["K"]))
 
     def to_csv(self) -> str:

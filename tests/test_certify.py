@@ -140,6 +140,11 @@ class TestPipeline:
         else:
             assert report.decision in (Decision.ZERO, Decision.NONZERO)
 
+    def test_noise_beyond_regime_before_reconstruction(self):
+        # All-zero windows reconstruct to a singular Hankel matrix.
+        with pytest.raises(ValueError, match="outside"):
+            pipeline(WindowData((0.0,) * 4, 2, 4), 1, noise_eps=0.02)
+
     def test_too_few_windows(self):
         with pytest.raises(ValueError):
             pipeline(WindowData((1.0, 2.0), 2, 2), 2)

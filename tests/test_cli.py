@@ -295,6 +295,36 @@ class TestRejectedInput:
         assert main(["witness", "-d", "0", "-W", "3", "--search"]) == 2
         assert capsys.readouterr().err == "error: d must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("command", ["reconstruct", "certify"])
+    def test_integer_sum_beyond_float_range(self, tmp_path, capsys, command):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"W": 8, "K": 2, "sums": [10**400, 1.0]}))
+        assert main([command, str(path), "-d", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed windows file {path}: "
+            "a window sum exceeds the float range\n"
+        )
+
+    @pytest.mark.parametrize(
+        "W,trials",
+        [("0", "0"), ("0", "5"), ("3", "-1")],
+        ids=["W0_trials0", "W0", "trials_negative"],
+    )
+    def test_witness_search_bad_window_or_trials(self, capsys, W, trials):
+        argv = ["witness", "-d", "1", "-W", W, "--search", "--max-trials", trials]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: need W >= 1 and max_trials >= 0, got {W} and {trials}\n"
+
+    @pytest.mark.parametrize("eps", ["0.02", "0.5"])
+    def test_noise_above_eps0_before_reconstruction(self, tmp_path, capsys, eps):
+        # All-zero windows make the Hankel matrix singular, an inconclusive
+        # verdict, if the declared noise is looked at only afterwards.
+        path = write_windows(tmp_path / "w.json", [0.0] * 7, 8)
+        assert main(["certify", path, "-d", "1", "--noise-eps", eps]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: noise_eps={eps} is outside [0, eps0=0.01]\n"
+
     @pytest.mark.parametrize("level,code", [("verbose", 2), ("debug", 0)])
     def test_log_level(self, monkeypatch, capsys, level, code):
         monkeypatch.setenv("WINDOWCERT_LOG", level)

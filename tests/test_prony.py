@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from windowcert.prony import (
     COMPLEX_NODES,
     HANKEL_SINGULAR,
+    IMAG_RATIO,
+    NEWTON_STEPS,
+    NODE_SEPARATION,
     PronyModel,
     REPEATED_NODES,
+    SINGULAR_RATIO,
+    ZERO_AMPLITUDE,
+    ZERO_AMPLITUDE_RATIO,
     ZERO_NODE,
+    ZERO_NODE_RATIO,
     char_roots,
     prony_reconstruct,
     solve_amplitudes,
     solve_recurrence_coeffs,
 )
 from windowcert.signal import WindowData
+from windowcert.synth import add_multiplicative_noise, case_a_fixture, case_b_fixture
 
 
 class TestRecurrenceCoeffs:
@@ -195,3 +203,200 @@ class TestReconstruct:
         np.testing.assert_allclose(
             [complex(v) for v in back.nodes], [complex(v) for v in model.nodes]
         )
+
+
+# Reference versions of the three Prony stages written with numpy's
+# polynomial helpers, list-built matrices and numpy scalar nodes.  The
+# module's versions must return bit-identical results.
+
+
+def _list_hankel_coeffs(S, d):
+    s = np.asarray(S, dtype=float)
+    hankel = np.array([[s[i + j] for j in range(d)] for i in range(d)])
+    lhs = np.array([[s[k + d - m] for m in range(1, d + 1)] for k in range(d)])
+    rhs = -s[d : 2 * d]
+    sv = np.linalg.svd(hankel, compute_uv=False)
+    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+    flags = set()
+    if sv[0] == 0.0 or sv[-1] < SINGULAR_RATIO * sv[0]:
+        flags.add(HANKEL_SINGULAR)
+        coeffs = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    else:
+        coeffs = np.linalg.solve(lhs, rhs)
+    return tuple(float(c) for c in coeffs), condition, flags
+
+
+def _numpy_char_roots(coeffs):
+    d = len(coeffs)
+    poly = np.concatenate([[1.0], np.asarray(coeffs, dtype=float)])
+    roots = np.roots(poly)
+    dpoly = np.polyder(poly)
+    for _ in range(NEWTON_STEPS):
+        num = np.polyval(poly, roots)
+        den = np.polyval(dpoly, roots)
+        safe = np.where(np.abs(den) > 0.0, den, 1.0)
+        roots = roots - np.where(np.abs(den) > 0.0, num / safe, 0.0)
+    roots = sorted(
+        roots, key=lambda v: (-abs(complex(v)), -complex(v).real, -complex(v).imag)
+    )
+    flags = set()
+    mags = [abs(r) for r in roots]
+    top = max(mags) if mags else 0.0
+    if top > 0.0:
+        if min(mags) < ZERO_NODE_RATIO * top:
+            flags.add(ZERO_NODE)
+        min_sep = min(
+            (abs(roots[i] - roots[j]) for i in range(d) for j in range(i + 1, d)),
+            default=np.inf,
+        )
+        if min_sep < NODE_SEPARATION * top:
+            flags.add(REPEATED_NODES)
+        if any(abs(r.imag) > IMAG_RATIO * abs(r) for r in roots):
+            flags.add(COMPLEX_NODES)
+    else:
+        flags.add(ZERO_NODE)
+    if COMPLEX_NODES not in flags:
+        roots = [r.real for r in roots]
+    return tuple(roots), flags
+
+
+def _scalar_vandermonde_amplitudes(S, nodes):
+    s = np.asarray(S, dtype=float)
+    d = len(nodes)
+    if len(set(nodes)) != d:
+        raise ValueError("nodes must be distinct")
+    vdm = np.array([[mu**k for mu in nodes] for k in range(d)])
+    sv = np.linalg.svd(vdm, compute_uv=False)
+    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+    amps = np.linalg.solve(vdm, s[:d].astype(vdm.dtype))
+    flags = set()
+    mags = np.abs(amps)
+    if mags.max() == 0.0 or mags.min() < ZERO_AMPLITUDE_RATIO * mags.max():
+        flags.add(ZERO_AMPLITUDE)
+    if np.iscomplexobj(amps):
+        return tuple(complex(a) for a in amps), condition, flags
+    return tuple(float(a) for a in amps), condition, flags
+
+
+def _bits(values):
+    """Real or complex, and the exact bits: -0.0 and 0.0 differ."""
+    return [
+        (isinstance(v, complex), complex(v).real.hex(), complex(v).imag.hex())
+        for v in values
+    ]
+
+
+def _exact(fn, *args):
+    """The parts of fn's result with every number as its bits, or the type of
+    the ValueError (LinAlgError included) that fn raises."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return type(exc)
+    parts = []
+    for part in result:
+        if isinstance(part, float):
+            part = _bits([part])
+        elif isinstance(part, tuple):
+            part = _bits(part)
+        parts.append(part)
+    return parts
+
+
+_VALUE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def monic_coefficients(draw):
+    """(a_1..a_d), d in 1..6: free coefficients, or those of a product of
+    real, repeated and complex-conjugate roots; the last 0..d are exact zeros."""
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(_VALUE, min_size=d, max_size=d))
+    else:
+        roots = []
+        while len(roots) < d:
+            r = draw(_VALUE)
+            kind = draw(st.sampled_from(("real", "repeat", "pair")))
+            if kind == "pair" and len(roots) <= d - 2:
+                im = draw(st.floats(1e-3, 2.0))
+                roots += [complex(r, im), complex(r, -im)]
+            elif kind == "repeat" and roots:
+                roots.append(roots[-1])
+            else:
+                roots.append(r)
+        coeffs = np.poly(roots).real[1:].tolist()
+    zeros = draw(st.integers(0, d))
+    return tuple(coeffs[: d - zeros]) + (0.0,) * zeros
+
+
+def _case_study_sums():
+    """Window sums of cases A and B: true, observed, and redrawn with noise."""
+    out = []
+    for fixture in (case_a_fixture(), case_b_fixture()):
+        out.append((fixture.true_windows, fixture.d))
+        out.append((fixture.observed_windows, fixture.d))
+        for level in (1e-6, 1e-3, 1e-2):
+            for seed in range(10):
+                sums = add_multiplicative_noise(fixture.true_windows, level, seed)
+                out.append((tuple(sums.tolist()), fixture.d))
+    return out
+
+
+class TestBitIdentity:
+    """Each stage equals its reference bit for bit: nodes, amplitudes,
+    coefficients, condition numbers and flags, or the same exception."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(monic_coefficients())
+    @example((-1.0, 0.0))  # a zero root, stripped by np.roots
+    @example((0.0, 0.0, 0.0))
+    @example((-2.0, 1.0))  # a double root
+    @example((0.0, 1.0))  # +-i
+    @example((-0.0, 0.0))
+    def test_char_roots_matches_numpy_reference(self, coeffs):
+        assert _exact(char_roots, coeffs) == _exact(_numpy_char_roots, coeffs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        monic_coefficients(),
+        st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=6, max_size=6),
+    )
+    def test_amplitudes_match_scalar_vandermonde(self, coeffs, sums):
+        nodes = char_roots(coeffs)[0]
+        ref_nodes = _numpy_char_roots(coeffs)[0]
+        assert _exact(solve_amplitudes, sums, nodes) == _exact(
+            _scalar_vandermonde_amplitudes, sums, ref_nodes
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.lists(
+                    st.floats(-1e3, 1e3, allow_nan=False),
+                    min_size=2 * d,
+                    max_size=2 * d + 3,
+                ),
+            )
+        )
+    )
+    @example((2, [1.0, 2.0, 4.0, 8.0]))  # rank-one Hankel: the lstsq branch
+    @example((1, [0.0, 0.0]))
+    def test_recurrence_coeffs_match_list_hankel(self, case):
+        d, sums = case
+        assert _exact(solve_recurrence_coeffs, sums, d) == _exact(
+            _list_hankel_coeffs, sums, d
+        )
+
+    def test_case_studies(self):
+        for sums, d in _case_study_sums():
+            coeffs = solve_recurrence_coeffs(sums, d)[0]
+            assert _exact(solve_recurrence_coeffs, sums, d) == _exact(
+                _list_hankel_coeffs, sums, d
+            )
+            assert _exact(char_roots, coeffs) == _exact(_numpy_char_roots, coeffs)
+            assert _exact(solve_amplitudes, sums, char_roots(coeffs)[0]) == _exact(
+                _scalar_vandermonde_amplitudes, sums, _numpy_char_roots(coeffs)[0]
+            )

@@ -248,6 +248,12 @@ class TestSearchWitness:
         with pytest.raises(ValueError, match="d must be >= 1"):
             search_witness(0, 3, coordinate_bound=5, p=PRIME)
 
+    @pytest.mark.parametrize("W,trials", [(0, 0), (0, 5), (3, -1)])
+    def test_window_and_trials_validation(self, W, trials):
+        # Checked before the first trial, so zero trials cannot hide a bad W.
+        with pytest.raises(ValueError, match="need W >= 1 and max_trials >= 0"):
+            search_witness(1, W, coordinate_bound=5, p=PRIME, max_trials=trials)
+
 
 class TestHankelWitnessDet:
     def test_order_one(self):

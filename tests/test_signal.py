@@ -119,6 +119,12 @@ class TestWindowData:
         with pytest.raises(ValueError, match="finite"):
             WindowData((1.0, bad), 2, 2)
 
+    def test_windows_document_rejects_sums_beyond_float_range(self):
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            WindowData.from_dict({"W": 8, "K": 2, "sums": [-(10**400), 1.0]})
+        # Integers that a float holds stay accepted.
+        assert WindowData.from_dict({"W": 8, "K": 1, "sums": [int(1.7e308)]}).count == 1
+
     def test_huge_exact_sums_accepted(self):
         # Exact sums are ints of any size; float() of this one overflows.
         big = 3**700
