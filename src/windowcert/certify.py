@@ -127,8 +127,9 @@ def _samples_from_model(model: PronyModel, W: int, n_samples: int):
 
     Each window-sum node mu maps to the sample rate a = mu^(1/W) with weight
     chosen so the geometric block sums reproduce the window amplitudes; a node
-    at 1 contributes a constant A/W per sample.  Returns None when a node is
-    not a positive real (no positive sample realization in this family).
+    at 1 contributes a constant A/W per sample.  Returns (rates, samples), or
+    None when a node is not a positive real (no positive sample realization in
+    this family).
     """
     rates = []
     weights = []
@@ -149,7 +150,7 @@ def _samples_from_model(model: PronyModel, W: int, n_samples: int):
     samples = np.zeros(n_samples)
     for a, w in zip(rates, weights):
         samples = samples + w * a**n
-    return rates, weights, samples
+    return rates, samples
 
 
 def _params_from_samples(rates, samples, d: int) -> RationalParams:
@@ -191,7 +192,7 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     rebuilt = _samples_from_model(model, w.block_length, horizon)
     if rebuilt is None:
         return _inconclusive(model, {POSITIVITY})
-    rates, _, samples = rebuilt
+    rates, samples = rebuilt
     if not (samples.min() > 0.0 and samples.max() < math.inf):  # NaN fails both
         return _inconclusive(model, {POSITIVITY})
 
@@ -233,28 +234,6 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
         reconstruction=model,
         flags=frozenset(flags),
     )
-
-
-def meaning_set(costs) -> set:
-    """Indices attaining the minimum cost (1-ulp quantization guard)."""
-    values = [float(c) for c in costs]
-    if not values:
-        raise ValueError("cost list must be nonempty")
-    lo = min(values)
-    guard = math.nextafter(lo, math.inf)
-    return {i for i, c in enumerate(values) if c <= guard}
-
-
-def eps_meaning_set(costs, eps: float) -> set:
-    """Indices within eps of the minimum cost."""
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
-    values = [float(c) for c in costs]
-    if not values:
-        raise ValueError("cost list must be nonempty")
-    lo = min(values)
-    guard = math.nextafter(lo + eps, math.inf)
-    return {i for i, c in enumerate(values) if c <= guard}
 
 
 @dataclass(frozen=True)

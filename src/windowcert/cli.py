@@ -36,7 +36,10 @@ class CliError(Exception):
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}") from exc
         log.info("wrote %s", out)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -117,8 +120,6 @@ def cmd_witness(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     data = _load_windows(args.windows)
-    if data.count < 2 * args.d:
-        raise CliError(f"need at least 2d={2 * args.d} windows, got {data.count}")
     model = prony_reconstruct(data, args.d)
     _emit_json(model.to_dict(), args.out)
     return 1 if model.degenerate else 0
@@ -148,9 +149,7 @@ def cmd_synth(args) -> int:
         )
         out = args.out or "collision"
         for name, seq in (("in", y_in), ("out", y_out)):
-            path = f"{out}.{name}.csv"
-            Path(path).write_text("\n".join(repr(v) for v in seq) + "\n")
-            log.info("wrote %s", path)
+            _write("\n".join(repr(v) for v in seq) + "\n", f"{out}.{name}.csv")
         sys.stdout.write(f"N={big_n}\n")
         return 0
     raise CliError(f"unknown synth target {args.what!r}")

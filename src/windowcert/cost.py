@@ -1,9 +1,10 @@
 """Canonical reciprocal cost and the scalar bounds derived from it.
 
 The cost of a positive ratio x is J(x) = (x + 1/x)/2 - 1, equivalently
-(x-1)^2/(2x).  In log-coordinates t = log x it becomes cosh(t) - 1.  All
-downstream certification thresholds (Lipschitz constants, noise tolerances,
-quadratic upper bounds) are computed from these two forms.
+(x-1)^2/(2x).  In log-coordinates t = log x it becomes cosh(t) - 1, which
+``loggeom.certificate_value`` sums over a configuration.  All downstream
+certification thresholds (Lipschitz constants, noise tolerances, quadratic
+upper bounds) are computed from these two forms.
 """
 from __future__ import annotations
 
@@ -52,20 +53,6 @@ def cost(x: float) -> float:
     return 0.5 * (x + 1.0 / x) - 1.0
 
 
-def cost_log(t: float) -> float:
-    """Cost in log-coordinates: cosh(t) - 1, computed as 2*sinh(t/2)^2."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
-    s = math.sinh(0.5 * t)
-    return 2.0 * s * s
-
-
-def separable_cost(xs) -> float:
-    """Sum of per-component costs over a positive vector (0 for empty input)."""
-    return math.fsum(cost(x) for x in xs)
-
-
 def lipschitz_constant(band: RatioBand) -> float:
     """Lipschitz constant of the cost on the band: (1 + lower^-2)/2."""
     a = band.lower
@@ -98,7 +85,7 @@ def rcl_residual(x: float, y: float) -> float:
 
 
 def quadratic_upper_bound(t: float) -> float:
-    """Upper bound exp(|t|) * t^2 / 2 for cost_log(t); tight only at t = 0."""
+    """Upper bound exp(|t|) * t^2 / 2 for cosh(t) - 1; tight only at t = 0."""
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")

@@ -1,9 +1,10 @@
-"""Log-coordinate geometry: mean-zero projection, conservation, defect.
+"""Log-coordinate geometry: mean-zero projection and certificate value.
 
 A positive configuration x is mapped to y = log x.  The mean-zero projection
-P(y) = y - mean(y) removes the global scale; its Euclidean norm is the defect.
-The certificate value sums the reciprocal cost over the projected coordinates
-and dominates defect^2 / 2.
+P(y) = y - mean(y) removes the global scale; its coordinates sum to zero, so
+the projection enforces the conservation constraint.  The Euclidean norm of
+P(y) is the defect.  The certificate value sums the reciprocal cost over the
+projected coordinates and dominates defect^2 / 2.
 """
 from __future__ import annotations
 
@@ -19,32 +20,10 @@ def _as_finite_vector(y, name: str = "y") -> np.ndarray:
     return arr
 
 
-def _as_positive_vector(x, name: str = "x") -> np.ndarray:
-    arr = _as_finite_vector(x, name)
-    if not np.all(arr > 0.0):
-        raise ValueError(f"{name} must have strictly positive entries")
-    return arr
-
-
 def project_mean_zero(y) -> np.ndarray:
     """Subtract the mean: the orthogonal projection onto the sum-zero subspace."""
     arr = _as_finite_vector(y)
     return arr - arr.mean()
-
-
-def conservation(x) -> float:
-    """Sum of log-coordinates; zero exactly when the entries multiply to 1."""
-    arr = _as_positive_vector(x)
-    return float(np.sum(np.log(arr)))
-
-
-def defect(x) -> float:
-    """Euclidean norm of the mean-zero projected log-configuration.
-
-    Zero iff x is constant; invariant under global rescaling of x.
-    """
-    arr = _as_positive_vector(x)
-    return float(np.linalg.norm(project_mean_zero(np.log(arr))))
 
 
 def certificate_value(u) -> float:

@@ -54,14 +54,6 @@ class PronyModel:
     def degenerate(self) -> bool:
         return bool(self.flags)
 
-    def predict(self, k) -> np.ndarray:
-        """Window sums sum_i A_i mu_i^k at the given indices."""
-        k = np.asarray(k)
-        mu = np.asarray(self.nodes)
-        amp = np.asarray(self.amplitudes)
-        vals = (amp[None, :] * mu[None, :] ** k[:, None]).sum(axis=1)
-        return vals.real if not np.iscomplexobj(np.asarray(self.nodes)) else vals
-
     def to_dict(self) -> dict:
         def enc(v):
             v = complex(v)
@@ -75,23 +67,6 @@ class PronyModel:
             "vandermonde_condition": finite_or_none(self.vandermonde_condition),
             "flags": sorted(self.flags),
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PronyModel":
-        def dec(v):
-            return complex(v["re"], v["im"]) if isinstance(v, dict) else float(v)
-
-        def condition(v):
-            return math.inf if v is None else float(v)
-
-        return cls(
-            nodes=tuple(dec(v) for v in obj["nodes"]),
-            amplitudes=tuple(dec(v) for v in obj["amplitudes"]),
-            char_coeffs=tuple(dec(v) for v in obj["char_coeffs"]),
-            hankel_condition=condition(obj["hankel_condition"]),
-            vandermonde_condition=condition(obj["vandermonde_condition"]),
-            flags=frozenset(obj["flags"]),
-        )
 
 
 def _sums(S) -> np.ndarray:
@@ -216,28 +191,13 @@ def prony_reconstruct(S, d: int) -> PronyModel:
     """
     s = _sums(S)
     coeffs, hankel_condition, flags = solve_recurrence_coeffs(s, d)
-    if HANKEL_SINGULAR in flags:
-        return PronyModel(
-            nodes=(),
-            amplitudes=(),
-            char_coeffs=coeffs,
-            hankel_condition=hankel_condition,
-            vandermonde_condition=float("inf"),
-            flags=frozenset(flags),
-        )
-    nodes, root_flags = char_roots(coeffs)
-    flags |= root_flags
-    if REPEATED_NODES in flags or ZERO_NODE in flags:
-        return PronyModel(
-            nodes=nodes,
-            amplitudes=(),
-            char_coeffs=coeffs,
-            hankel_condition=hankel_condition,
-            vandermonde_condition=float("inf"),
-            flags=frozenset(flags),
-        )
-    amps, vdm_condition, amp_flags = solve_amplitudes(s, nodes)
-    flags |= amp_flags
+    nodes, amps, vdm_condition = (), (), math.inf
+    if HANKEL_SINGULAR not in flags:
+        nodes, root_flags = char_roots(coeffs)
+        flags |= root_flags
+    if not flags & {HANKEL_SINGULAR, REPEATED_NODES, ZERO_NODE}:
+        amps, vdm_condition, amp_flags = solve_amplitudes(s, nodes)
+        flags |= amp_flags
     return PronyModel(
         nodes=nodes,
         amplitudes=amps,

@@ -197,10 +197,8 @@ def certify_witness(params: RationalParams, d: int, W: int, p: int) -> RankCerti
         raise ValueError(f"params have degree {params.degree}, expected {d}")
     if not params.is_integer:
         raise ValueError("witness certification requires integer parameters")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
     jac = jacobian(params, W)
-    residue = det_mod(jac, p)
+    residue = det_mod(jac, p)  # raises on a composite modulus
     # The signal is linear in its initial values, so S_k = sum_a J[k][a] y_a.
     sums = tuple(sum(map(mul, row[: d + 1], params.initial)) for row in jac)
     return RankCertificate(

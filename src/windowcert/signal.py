@@ -164,16 +164,6 @@ def window_sums(sequence, W: int, K: int) -> WindowData:
     return WindowData(sums, W, K)
 
 
-def window_map(params: RationalParams, W: int) -> tuple:
-    """First 2d+1 window sums of the signal generated from ``params``."""
-    if W < 1:
-        raise ValueError("W must be >= 1")
-    d = params.degree
-    K = 2 * d + 1
-    seq = generate_sequence(params, W * K - 1)
-    return window_sums(seq, W, K).sums
-
-
 @dataclass(frozen=True)
 class ExponentialMixture:
     """Positive mixture y_n = sum_j w_j a_j^n with distinct rates in (0, 1)."""
@@ -192,10 +182,6 @@ class ExponentialMixture:
             raise ValueError("rates must be pairwise distinct")
         if any(w <= 0.0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
-
-    @property
-    def order(self) -> int:
-        return len(self.rates)
 
 
 def mixture_sequence(mix: ExponentialMixture, n_max: int) -> np.ndarray:

@@ -35,9 +35,6 @@ class CaseStudyFixture:
     observed_windows: tuple
     noise_level: float
 
-    def observed(self) -> WindowData:
-        return WindowData(self.observed_windows, self.W, len(self.observed_windows))
-
     def true(self) -> WindowData:
         return WindowData(self.true_windows, self.W, len(self.true_windows))
 

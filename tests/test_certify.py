@@ -10,10 +10,8 @@ from windowcert.certify import (
     POSITIVITY,
     decide_certificate,
     eps_bound,
-    eps_meaning_set,
     estimate_lipschitz,
     inverse_operator_norm,
-    meaning_set,
     pipeline,
     rank_candidates,
 )
@@ -173,33 +171,6 @@ class TestPipeline:
             data = WindowData(tuple(noisy), 6, 8)
             report = pipeline(data, 1, noise_eps=5e-3)
             assert report.decision is not Decision.NONZERO
-
-
-class TestMeaningSets:
-    def test_unique_minimum(self):
-        assert meaning_set([3.0, 1.0, 2.0]) == {1}
-
-    def test_tie(self):
-        assert meaning_set([2.0, 1.0, 1.0]) == {1, 2}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            meaning_set([])
-
-    def test_eps_widening(self):
-        costs = [3.0, 1.0, 2.0]
-        assert eps_meaning_set(costs, 0.0) == {1}
-        assert eps_meaning_set(costs, 1.0) == {1, 2}
-        assert eps_meaning_set(costs, 5.0) == {0, 1, 2}
-
-    def test_eps_negative(self):
-        with pytest.raises(ValueError):
-            eps_meaning_set([1.0], -0.5)
-
-    def test_nested(self):
-        rng = np.random.default_rng(33)
-        costs = rng.uniform(0, 10, 20)
-        assert eps_meaning_set(costs, 0.5) <= eps_meaning_set(costs, 2.0)
 
 
 class TestRankCandidates:

@@ -316,6 +316,25 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert err == f"error: need W >= 1 and max_trials >= 0, got {W} and {trials}\n"
 
+    @pytest.mark.parametrize(
+        "argv,target",
+        [
+            (["certify", "{windows}", "-d", "1", "--out", "{out}"], "{out}"),
+            (["synth", "collision", "--out", "{out}"], "{out}.in.csv"),
+        ],
+        ids=["certify", "collision"],
+    )
+    def test_unwritable_out(self, tmp_path, capsys, argv, target):
+        names = {
+            "windows": write_windows(tmp_path / "w.json", [8.0] * 7, 8),
+            "out": tmp_path / "missing" / "x",
+        }
+        assert main([a.format(**names) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target.format(**names)}: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("eps", ["0.02", "0.5"])
     def test_noise_above_eps0_before_reconstruction(self, tmp_path, capsys, eps):
         # All-zero windows make the Hankel matrix singular, an inconclusive

@@ -8,13 +8,12 @@ from hypothesis import given, strategies as st
 from windowcert.cost import (
     RatioBand,
     cost,
-    cost_log,
     lipschitz_constant,
     quadratic_upper_bound,
     rcl_residual,
-    separable_cost,
     tolerance_epsilon,
 )
+from windowcert.loggeom import certificate_value
 
 
 def cosh_series(t, terms=40):
@@ -62,51 +61,47 @@ class TestCost:
 
 
 class TestCostLog:
+    """The log form cosh(t) - 1 = J(e^t) is the certificate of one coordinate."""
+
     def test_zero(self):
-        assert cost_log(0.0) == 0.0
+        assert certificate_value([0.0]) == 0.0
 
     def test_log_two(self):
-        assert cost_log(math.log(2.0)) == pytest.approx(0.25, rel=1e-14)
+        assert certificate_value([math.log(2.0)]) == pytest.approx(0.25, rel=1e-14)
 
     def test_series_oracle_at_one(self):
-        assert cost_log(1.0) == pytest.approx(cosh_series(1.0), rel=1e-12)
+        assert certificate_value([1.0]) == pytest.approx(cosh_series(1.0), rel=1e-12)
 
     def test_matches_cost_of_exp(self):
         for t in np.linspace(-5, 5, 101):
-            assert cost_log(t) == pytest.approx(cost(math.exp(t)), rel=1e-12)
+            assert certificate_value([t]) == pytest.approx(cost(math.exp(t)), rel=1e-12)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            cost_log(math.inf)
+            certificate_value([math.inf])
 
     @given(st.floats(min_value=-30, max_value=30))
     def test_coercivity_sandwich(self, t):
-        value = cost_log(t)
+        value = certificate_value([t])
         assert value >= 0.5 * t * t
         assert value <= quadratic_upper_bound(t) or t == 0.0
 
 
 class TestSeparable:
+    """The certificate of u is the separable cost sum_i J(x_i) of x = exp(u)."""
+
     def test_all_ones(self):
-        assert separable_cost([1.0, 1.0, 1.0]) == 0.0
+        assert certificate_value(np.log([1.0, 1.0, 1.0])) == 0.0
 
     def test_pair(self):
-        assert separable_cost([2.0, 0.5]) == pytest.approx(0.5, rel=1e-15)
-
-    def test_empty_sum(self):
-        assert separable_cost([]) == 0.0
+        assert certificate_value(np.log([2.0, 0.5])) == pytest.approx(0.5, rel=1e-15)
 
     def test_componentwise_oracle(self):
         rng = np.random.default_rng(3)
         xs = rng.uniform(0.2, 5.0, 5)
-        assert separable_cost(xs) == pytest.approx(
+        assert certificate_value(np.log(xs)) == pytest.approx(
             sum(cost(x) for x in xs), rel=1e-14
         )
-
-    def test_rejects_nonpositive_entry(self):
-        with pytest.raises(ValueError):
-            separable_cost([1.0, -2.0])
-
 
 class TestBandBounds:
     def test_band_validation(self):
@@ -170,7 +165,9 @@ def test_quadratic_upper_bound_values():
 
 
 def test_calibration_second_difference():
-    # Second divided difference of cost_log at 0 equals the unit curvature.
+    # Second divided difference of cosh(t) - 1 at 0 equals the unit curvature.
     h = 1e-4
-    second = (cost_log(h) - 2 * cost_log(0.0) + cost_log(-h)) / (h * h)
+    second = (
+        certificate_value([h]) - 2 * certificate_value([0.0]) + certificate_value([-h])
+    ) / (h * h)
     assert second == pytest.approx(1.0, abs=1e-6)

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from windowcert.loggeom import (
-    certificate_value,
-    conservation,
-    defect,
-    project_mean_zero,
-)
+from windowcert.loggeom import certificate_value, project_mean_zero
 
 finite_vectors = hnp.arrays(
     float,
@@ -51,47 +46,6 @@ class TestProjection:
             project_mean_zero([[1.0, 2.0]])
 
 
-class TestConservation:
-    def test_reciprocal_pair(self):
-        assert conservation([2.0, 0.5]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_single(self):
-        assert conservation([math.e]) == pytest.approx(1.0, rel=1e-15)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            conservation([1.0, 0.0])
-
-
-class TestDefect:
-    def test_constant_is_zero(self):
-        assert defect([3.0, 3.0, 3.0, 3.0]) == 0.0
-
-    def test_example(self):
-        # log(e, 1/e) projects to (1, -1): norm sqrt(2).
-        assert defect([math.e, 1.0 / math.e]) == pytest.approx(
-            math.sqrt(2.0), rel=1e-14
-        )
-
-    @given(
-        hnp.arrays(
-            float,
-            st.integers(min_value=1, max_value=10),
-            elements=st.floats(min_value=0.01, max_value=100),
-        ),
-        st.floats(min_value=0.01, max_value=100),
-    )
-    def test_scale_invariance(self, x, c):
-        assert defect(c * x) == pytest.approx(defect(x), abs=1e-9)
-
-    def test_zero_defect_rigidity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            x = rng.uniform(0.1, 10.0, 6)
-            if defect(x) < 1e-12:
-                assert np.allclose(x, x[0])
-
-
 class TestCertificateValue:
     def test_zero_vector(self):
         assert certificate_value(np.zeros(4)) == 0.0
@@ -118,4 +72,4 @@ class TestCertificateValue:
         for _ in range(200):
             x = rng.uniform(0.05, 20.0, 7)
             u = project_mean_zero(np.log(x))
-            assert certificate_value(u) >= 0.5 * defect(x) ** 2 * (1 - 1e-12)
+            assert certificate_value(u) >= 0.5 * np.linalg.norm(u) ** 2 * (1 - 1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from windowcert import rankcert
 from windowcert.rankcert import (
     RankCertificate,
     certify_witness,
@@ -13,7 +14,7 @@ from windowcert.rankcert import (
     jacobian,
     search_witness,
 )
-from windowcert.signal import RationalParams, generate_sequence, window_map, window_sums
+from windowcert.signal import RationalParams, generate_sequence, window_sums
 
 from reference_data import (
     PRIME,
@@ -57,16 +58,20 @@ class TestJacobian:
         # Central differences of the float window map agree with the exact
         # Jacobian columns at the witness point.
         h = 1e-6
+        K = 2 * WITNESS_D + 1
         jac = np.array(jacobian(WITNESS, WITNESS_W), dtype=float)
         vec = [float(v) for v in WITNESS_VECTOR]
+
+        def window_map(pi):
+            p = RationalParams.from_vector(pi, WITNESS_D)
+            return np.array(window_sums(generate_sequence(p, WITNESS_W * K - 1), WITNESS_W, K).sums)
+
         for col in range(len(vec)):
             hi = list(vec)
             lo = list(vec)
             hi[col] += h
             lo[col] -= h
-            f_hi = np.array(window_map(RationalParams.from_vector(hi, WITNESS_D), WITNESS_W))
-            f_lo = np.array(window_map(RationalParams.from_vector(lo, WITNESS_D), WITNESS_W))
-            fd = (f_hi - f_lo) / (2 * h)
+            fd = (window_map(hi) - window_map(lo)) / (2 * h)
             scale = np.maximum(np.abs(jac[:, col]), 1.0)
             np.testing.assert_allclose(fd / scale, jac[:, col] / scale, atol=1e-4)
 
@@ -237,6 +242,15 @@ class TestSearchWitness:
 
     def test_exhaustion(self):
         assert search_witness(2, 3, coordinate_bound=5, p=PRIME, max_trials=0) is None
+
+    def test_one_primality_test_per_trial(self, monkeypatch):
+        # The search tests the modulus once up front and det_mod once per
+        # trial; certify_witness leaves the test to det_mod.
+        calls = []
+        monkeypatch.setattr(rankcert, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        # Seed 1 draws three points with a nonzero recurrence, all singular.
+        assert search_witness(2, 3, coordinate_bound=1, p=PRIME, seed=1, max_trials=3) is None
+        assert calls == [PRIME] * 4
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from windowcert.signal import (
     generate_sequence,
     mixture_sequence,
     mixture_window_params,
-    window_map,
     window_sums,
 )
 
@@ -77,10 +76,6 @@ class TestWindowSums:
         seq = generate_sequence(p, WITNESS_W * 7 - 1)
         data = window_sums(seq, WITNESS_W, 7)
         assert data.sums == WITNESS_WINDOW_SUMS
-
-    def test_window_map_matches(self):
-        p = RationalParams.from_vector(WITNESS_VECTOR, WITNESS_D)
-        assert window_map(p, WITNESS_W) == WITNESS_WINDOW_SUMS
 
     def test_simple_blocks(self):
         data = window_sums([1, 2, 3, 4, 5, 6], 2, 3)
