@@ -1,11 +1,13 @@
-"""Decision layer: reconstruct, project, and threshold.
+"""Decision layer: the end-to-end pipeline and its noise bound.
 
-The end-to-end certifier takes K window sums, recovers an exponential-sum
-model (reconstruction step), rebuilds the positive sample configuration over
-the observed horizon, projects its log to mean zero, and compares the summed
-reciprocal cost against a noise-derived threshold.  Outcomes are ternary:
-``zero`` (certified neutral), ``nonzero`` (certified non-neutral), or
-``inconclusive`` (degenerate or unresolvable data).
+The pipeline takes K window sums, recovers an exponential-sum model
+(reconstruction step), rebuilds the positive sample configuration over the
+observed horizon, projects its log to mean zero, and compares the summed
+reciprocal cost (``cost.certificate_value``) against ``eps_bound``, the
+threshold set by the declared noise and the Lipschitz estimate of the
+reconstruction.  Outcomes are ternary: ``zero`` (certified neutral),
+``nonzero`` (certified non-neutral), or ``inconclusive`` (degenerate or
+unresolvable data).
 """
 from __future__ import annotations
 
@@ -16,8 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import RatioBand, cost, tolerance_epsilon
-from .loggeom import certificate_value, project_mean_zero
+from .cost import certificate_value, project_mean_zero
 from .prony import PronyModel, finite_or_none, prony_reconstruct
 from .rankcert import jacobian
 from .signal import RationalParams, WindowData
@@ -95,23 +96,18 @@ def eps_bound(L: float, K: int, eps0: float, eps: float) -> float:
     return 0.5 * math.exp(exponent) * L * L * K * eps * eps
 
 
-def inverse_operator_norm(matrix) -> float:
-    """Spectral norm of the inverse: 1 / smallest singular value."""
-    m = np.asarray(matrix, dtype=float)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= 0.0 or not np.isfinite(sv[-1]):
-        raise ValueError("matrix is singular")
-    return float(1.0 / sv[-1])
-
-
 def estimate_lipschitz(params: RationalParams, W: int) -> float:
     """Conditioning of local parameter recovery from window sums.
 
-    Operator 2-norm of the inverse Jacobian of the window map at ``params``.
-    Raises on a singular Jacobian (degenerate locus).
+    Operator 2-norm of the inverse Jacobian of the window map at ``params``,
+    1 / its smallest singular value.  Raises on a singular Jacobian
+    (degenerate locus).
     """
     jac = np.asarray(jacobian(params, W), dtype=float)
-    return inverse_operator_norm(jac)
+    smallest = np.linalg.svd(jac, compute_uv=False)[-1]
+    if smallest <= 0.0 or not np.isfinite(smallest):
+        raise ValueError("Jacobian is singular")
+    return float(1.0 / smallest)
 
 
 def decide_certificate(u, threshold: float) -> Decision:
@@ -153,12 +149,6 @@ def _samples_from_model(model: PronyModel, W: int, n_samples: int):
     return rates, samples
 
 
-def _params_from_samples(rates, samples, d: int) -> RationalParams:
-    """Rational parameters of the reconstructed sample signal."""
-    recurrence = np.poly(np.asarray(rates))[1:].tolist()
-    return RationalParams(samples[: d + 1].tolist(), recurrence, d)
-
-
 def _inconclusive(model: Optional[PronyModel], flags) -> CertReport:
     return CertReport(
         decision=Decision.INCONCLUSIVE,
@@ -176,11 +166,10 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
 
     Reconstruction failures (degenerate Prony step, non-positive sample
     values, singular conditioning) yield ``inconclusive`` with flags; they
-    never escape as exceptions.
+    never escape as exceptions.  Invalid input raises ValueError: noise
+    outside [0, eps0], or fewer than 2d windows (from the reconstruction).
     """
     K = w.count
-    if K < 2 * d:
-        raise ValueError(f"need at least 2d={2 * d} windows, got {K}")
     if not 0.0 <= noise_eps <= EPS0:  # also rejects NaN, which no comparison admits
         raise ValueError(f"noise_eps={noise_eps} is outside [0, eps0={EPS0}]")
 
@@ -197,8 +186,10 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
         return _inconclusive(model, {POSITIVITY})
 
     try:
+        # Parameters of the rebuilt signal: the recurrence has the rates as roots.
+        recurrence = np.poly(np.asarray(rates))[1:].tolist()
         lipschitz = estimate_lipschitz(
-            _params_from_samples(rates, samples, d), w.block_length
+            RationalParams(samples[: d + 1].tolist(), recurrence, d), w.block_length
         )
     except (ValueError, np.linalg.LinAlgError):
         return _inconclusive(model, {LIPSCHITZ_SINGULAR})
@@ -234,43 +225,3 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
         reconstruction=model,
         flags=frozenset(flags),
     )
-
-
-@dataclass(frozen=True)
-class CostedCandidates:
-    """A state scale, candidate scales, and the band containing their ratios."""
-
-    state_scale: float
-    candidate_scales: tuple
-    band: RatioBand
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "candidate_scales", tuple(float(v) for v in self.candidate_scales)
-        )
-        if self.state_scale <= 0.0 or any(v <= 0.0 for v in self.candidate_scales):
-            raise ValueError("all scales must be positive")
-        for v in self.candidate_scales:
-            if not self.band.contains(self.state_scale / v):
-                raise ValueError(
-                    f"ratio {self.state_scale / v} outside band "
-                    f"[{self.band.lower}, {self.band.upper}]"
-                )
-
-
-def rank_candidates(cands: CostedCandidates, observed_ratios, delta: float):
-    """Pick the candidate with minimal cost of its observed ratio.
-
-    With relative ratio error at most delta, the winner's true cost is within
-    2 * guarantee_eps of the true minimum.  Returns (best_index,
-    guarantee_eps).
-    """
-    ratios = [float(r) for r in observed_ratios]
-    if len(ratios) != len(cands.candidate_scales):
-        raise ValueError("one observed ratio per candidate required")
-    for r in ratios:
-        if not cands.band.contains(r):
-            raise ValueError(f"observed ratio {r} outside band")
-    costs = [cost(r) for r in ratios]
-    best = min(range(len(costs)), key=costs.__getitem__)
-    return best, tolerance_epsilon(cands.band, delta)

@@ -1,15 +1,20 @@
-"""Canonical reciprocal cost and the scalar bounds derived from it.
+"""Canonical reciprocal cost, its log form, and the bounds derived from it.
 
 The cost of a positive ratio x is J(x) = (x + 1/x)/2 - 1, equivalently
-(x-1)^2/(2x).  In log-coordinates t = log x it becomes cosh(t) - 1, which
-``loggeom.certificate_value`` sums over a configuration.  All downstream
-certification thresholds (Lipschitz constants, noise tolerances, quadratic
-upper bounds) are computed from these two forms.
+(x-1)^2/(2x).  In log-coordinates t = log x it becomes cosh(t) - 1.  A
+positive configuration x is mapped to y = log x and projected to mean zero,
+P(y) = y - mean(y); the projected coordinates sum to zero, so the projection
+enforces the conservation constraint.  ``certificate_value`` sums the log-form
+cost over the projected coordinates and dominates ||P(y)||^2 / 2.  The scalar
+bounds (Lipschitz constants, noise tolerances, quadratic upper bounds) and
+the epsilon-tolerant candidate ranking are computed from these forms.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Below this distance from 1, evaluate via (x-1)^2/(2x) to avoid cancellation.
 _NEAR_ONE = 1e-4
@@ -53,6 +58,32 @@ def cost(x: float) -> float:
     return 0.5 * (x + 1.0 / x) - 1.0
 
 
+def _as_finite_vector(y, name: str = "y") -> np.ndarray:
+    arr = np.asarray(y, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(f"{name} must be a 1-d vector of length >= 1")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must have finite entries")
+    return arr
+
+
+def project_mean_zero(y) -> np.ndarray:
+    """Subtract the mean: the orthogonal projection onto the sum-zero subspace."""
+    arr = _as_finite_vector(y)
+    return arr - arr.mean()
+
+
+def certificate_value(u) -> float:
+    """Total reciprocal cost of exp(u): sum_i (cosh(u_i) - 1).
+
+    For mean-zero u this dominates ||u||^2 / 2, so a vanishing certificate
+    forces u = 0.
+    """
+    arr = _as_finite_vector(u, "u")
+    s = np.sinh(0.5 * arr)
+    return float(np.sum(2.0 * s * s))
+
+
 def lipschitz_constant(band: RatioBand) -> float:
     """Lipschitz constant of the cost on the band: (1 + lower^-2)/2."""
     a = band.lower
@@ -90,3 +121,43 @@ def quadratic_upper_bound(t: float) -> float:
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     return 0.5 * math.exp(abs(t)) * t * t
+
+
+@dataclass(frozen=True)
+class CostedCandidates:
+    """A state scale, candidate scales, and the band containing their ratios."""
+
+    state_scale: float
+    candidate_scales: tuple
+    band: RatioBand
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "candidate_scales", tuple(float(v) for v in self.candidate_scales)
+        )
+        if self.state_scale <= 0.0 or any(v <= 0.0 for v in self.candidate_scales):
+            raise ValueError("all scales must be positive")
+        for v in self.candidate_scales:
+            if not self.band.contains(self.state_scale / v):
+                raise ValueError(
+                    f"ratio {self.state_scale / v} outside band "
+                    f"[{self.band.lower}, {self.band.upper}]"
+                )
+
+
+def rank_candidates(cands: CostedCandidates, observed_ratios, delta: float):
+    """Pick the candidate with minimal cost of its observed ratio.
+
+    With relative ratio error at most delta, the winner's true cost is within
+    2 * guarantee_eps of the true minimum.  Returns (best_index,
+    guarantee_eps).
+    """
+    ratios = [float(r) for r in observed_ratios]
+    if len(ratios) != len(cands.candidate_scales):
+        raise ValueError("one observed ratio per candidate required")
+    for r in ratios:
+        if not cands.band.contains(r):
+            raise ValueError(f"observed ratio {r} outside band")
+    costs = [cost(r) for r in ratios]
+    best = min(range(len(costs)), key=costs.__getitem__)
+    return best, tolerance_epsilon(cands.band, delta)

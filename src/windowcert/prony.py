@@ -134,7 +134,9 @@ def char_roots(coeffs):
         for c in dpoly:
             den = den * roots + c
         nonzero = np.abs(den) > 0.0
-        roots = roots - np.where(nonzero, num / np.where(nonzero, den, 1.0), 0.0)
+        step = np.where(nonzero, num / np.where(nonzero, den, 1.0), 0.0)
+        # A root whose step overflows (subnormal coefficients) is kept as is.
+        roots = np.where(np.isfinite(step), roots - step, roots)
     # Python scalars: sorting and flagging only compare, subtract and take
     # moduli, which round as in numpy.
     roots = sorted(roots.tolist(), key=_node_order)

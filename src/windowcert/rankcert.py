@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .signal import RationalParams, generate_sequence
+from .signal import ExponentialMixture, RationalParams, block_sums
+from .signal import generate_sequence, mixture_window_params
 from .signal import window_sums  # noqa: F401  (bench/tracing.py rebinds rankcert.window_sums)
 
 # Witness bases make Miller-Rabin deterministic below 3.3e24.
@@ -67,15 +68,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _shifted_window_sums(x, W: int, K: int, s: int) -> list:
-    """win_s(x)_k = sum_{i<W} x_{Wk+i-s}, entries at negative index being 0.
-
-    Each window is a direct slice sum, not a difference of prefix sums, so
-    float inputs keep the rounding of a plain block sum.
-    """
-    return [sum(x[max(0, W * k - s) : max(0, W * k + W - s)]) for k in range(K)]
-
-
 def _derivative_rows(params: RationalParams, W: int) -> list:
     """Rows of the Jacobian of the first 2d+1 window sums, one per window.
 
@@ -98,7 +90,7 @@ def _derivative_rows(params: RationalParams, W: int) -> list:
         tail.append(y[t] - sum(map(mul, q, tail[: -d - 1 : -1])))
     g = g[d:]
     tail = tail[d:]
-    win_g = {s: _shifted_window_sums(g, W, K, s) for s in range(d + 1, 2 * d + 1)}
+    win_g = {s: block_sums(g, W, K, s) for s in range(d + 1, 2 * d + 1)}
 
     columns = []
     for alpha in range(d + 1):
@@ -108,7 +100,7 @@ def _derivative_rows(params: RationalParams, W: int) -> list:
             col = [c - q[m - 1] * w for c, w in zip(col, win_g[alpha + m])]
         columns.append(col)
     for j in range(1, d + 1):
-        col = [-v for v in _shifted_window_sums(tail, W, K, j)]
+        col = [-v for v in block_sums(tail, W, K, j)]
         for s in range(d + 1 - j, d):
             col = [c - y[s] * w for c, w in zip(col, win_g[j + s])]
         columns.append(col)
@@ -251,14 +243,13 @@ def hankel_witness_det(d: int, W: int) -> float:
     """Explicit positive Hankel determinant of the rate family a_i = 1/(i+1).
 
     The window sums of y_n = sum_i a_i^n have Hankel determinant
-    (prod_{i<j} (mu_j - mu_i))^2 * prod_i B_i with mu_i = a_i^W and
-    B_i = (1 - a_i^W)/(1 - a_i).
+    (prod_{i<j} (mu_j - mu_i))^2 * prod_i B_i, with the window nodes mu_i and
+    amplitudes B_i of ``mixture_window_params`` at unit weights.
     """
     if d < 1 or W < 1:
         raise ValueError("d and W must be >= 1")
     rates = [1.0 / (i + 2) for i in range(d)]
-    mu = [a**W for a in rates]
-    amp = [(1.0 - a**W) / (1.0 - a) for a in rates]
+    mu, amp = mixture_window_params(ExponentialMixture(rates, (1.0,) * d), W)
     vdm = 1.0
     for i in range(d):
         for j in range(i + 1, d):

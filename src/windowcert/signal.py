@@ -3,7 +3,10 @@
 A degree-d rational signal is parameterized by initial values (y_0..y_d) and
 recurrence coefficients (q_1..q_d); for n >= d+1 it satisfies
 y_n = -(q_1 y_{n-1} + ... + q_d y_{n-d}).  The observable is the vector of
-W-block window sums S_k = sum_{j<W} y_{Wk+j}.
+W-block window sums S_k = sum_{j<W} y_{Wk+j}, which ``block_sums`` computes,
+also for delayed sequences (the Jacobian assembly in ``rankcert``).  The
+window nodes and amplitudes of an exponential mixture come from
+``mixture_window_params``.
 
 Sequence generation runs in exact integer arithmetic when every parameter is
 an integer (Python ints never overflow), and in double precision otherwise.
@@ -152,6 +155,16 @@ def generate_sequence(params: RationalParams, n_max: int) -> list:
     return y
 
 
+def block_sums(x, W: int, K: int, delay: int = 0) -> list:
+    """K block sums of x delayed by ``delay`` samples: entry k is
+    sum_{i<W} x_{Wk+i-delay}, where entries at negative index are 0.
+
+    Each window is a direct slice sum, not a difference of prefix sums, so
+    float inputs keep the rounding of a plain left-to-right block sum.
+    """
+    return [sum(x[max(0, W * k - delay) : max(0, W * k + W - delay)]) for k in range(K)]
+
+
 def window_sums(sequence, W: int, K: int) -> WindowData:
     """Sum consecutive blocks of length W; exact for integer sequences."""
     if W < 1 or K < 1:
@@ -160,8 +173,7 @@ def window_sums(sequence, W: int, K: int) -> WindowData:
         raise ValueError(
             f"sequence of length {len(sequence)} too short for {K} windows of {W}"
         )
-    sums = tuple(sum(sequence[W * k + j] for j in range(W)) for k in range(K))
-    return WindowData(sums, W, K)
+    return WindowData(block_sums(sequence, W, K), W, K)
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,10 @@ with its standard normal transform and is deterministic per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .signal import (
-    ExponentialMixture,
-    RationalParams,
-    WindowData,
-    generate_sequence,
-    mixture_sequence,
-    window_sums,
-)
+from .signal import ExponentialMixture, WindowData, mixture_sequence, window_sums
 
 
 @dataclass(frozen=True)
@@ -126,31 +118,21 @@ def add_multiplicative_noise(S, level: float, seed: int) -> np.ndarray:
     return s * (1.0 + level * rng.standard_normal(s.shape))
 
 
-def collision_pair(
-    base: Union[RationalParams, ExponentialMixture],
-    d: int,
-    W: int,
-    K: int,
-    extra_bumps: int = 6,
-):
+def collision_pair(base: ExponentialMixture, d: int, W: int, K: int):
     """Two nonnegative prefixes with identical first K+1 window sums.
 
-    The second prefix adds unit bumps at indices N + m^2 (N = W(K+1) - 1),
-    which lie beyond the observed span but defeat every finite-depth linear
-    recurrence: two consecutive bumps with gap wider than the recurrence
-    depth force a unit residual.  Returns (y_in, y_out, N).
+    The first prefix samples the mixture; the second adds unit bumps at
+    indices N + m^2 (N = W(K+1) - 1, m = 1..max(6, d+2)), which lie beyond
+    the observed span but defeat every finite-depth linear recurrence: two
+    consecutive bumps with gap wider than the recurrence depth force a unit
+    residual.  Returns (y_in, y_out, N).
     """
     if W < 1 or K < 0:
         raise ValueError("need W >= 1 and K >= 0")
-    n_bumps = max(extra_bumps, d + 2)
+    n_bumps = max(6, d + 2)
     big_n = W * (K + 1) - 1
     length = big_n + n_bumps * n_bumps + 1
-    if isinstance(base, ExponentialMixture):
-        y_in = [float(v) for v in mixture_sequence(base, length - 1)]
-    else:
-        y_in = [float(v) for v in generate_sequence(base, length - 1)]
-    if any(v < 0.0 for v in y_in):
-        raise ValueError("base sequence must be nonnegative")
+    y_in = [float(v) for v in mixture_sequence(base, length - 1)]
     y_out = list(y_in)
     for m in range(1, n_bumps + 1):
         idx = big_n + m * m

@@ -11,21 +11,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from windowcert.certify import (
-    CostedCandidates,
-    Decision,
-    decide_certificate,
-    pipeline,
-    rank_candidates,
-)
+from windowcert.certify import Decision, decide_certificate, pipeline
 from windowcert.cost import (
+    CostedCandidates,
     RatioBand,
     cost,
     lipschitz_constant,
+    project_mean_zero,
     quadratic_upper_bound,
+    rank_candidates,
     rcl_residual,
 )
-from windowcert.loggeom import project_mean_zero
 from windowcert.prony import prony_reconstruct
 from windowcert.rankcert import det_mod, hankel_witness_det, jacobian
 from windowcert.signal import (

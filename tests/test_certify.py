@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from windowcert.certify import (
-    CostedCandidates,
     Decision,
     NEUTRAL_INCONSISTENT,
     POSITIVITY,
     decide_certificate,
     eps_bound,
     estimate_lipschitz,
-    inverse_operator_norm,
     pipeline,
-    rank_candidates,
 )
-from windowcert.cost import RatioBand, cost
+from windowcert.cost import CostedCandidates, RatioBand, cost, rank_candidates
 from windowcert.signal import RationalParams, WindowData, window_sums
 from windowcert.synth import add_multiplicative_noise, case_a_fixture
 
@@ -59,11 +56,9 @@ class TestEpsBound:
 
 class TestLipschitz:
     def test_inverse_operator_norm_diagonal(self):
-        assert inverse_operator_norm(np.diag([2.0, 4.0])) == pytest.approx(0.5)
-
-    def test_inverse_operator_norm_singular(self):
-        with pytest.raises(ValueError):
-            inverse_operator_norm(np.zeros((2, 2)))
+        # y = (1, 0.5), q = (0,): the Jacobian at W = 1 is diag(1, 1, -0.5),
+        # whose smallest singular value is 0.5.
+        assert estimate_lipschitz(RationalParams((1.0, 0.5), (0.0,), 1), 1) == 2.0
 
     def test_witness_point_finite(self):
         params = RationalParams.from_vector(WITNESS_VECTOR, WITNESS_D)

@@ -225,6 +225,22 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_csv_windows_file(self, tmp_path, capsys):
+        path = tmp_path / "w.csv"
+        path.write_text("k,S_k\n0,2.0\n1,5.0\n")
+        assert main(["certify", str(path), "-d", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: CSV window input needs a block length; use the JSON format\n"
+
+    @pytest.mark.parametrize("text", [None, "1.0 2.0 x 4.0"], ids=["missing", "non_numeric"])
+    def test_bad_sequence_file(self, tmp_path, capsys, text):
+        path = tmp_path / "y.txt"
+        if text is not None:
+            path.write_text(text)
+        assert main(["windows", "-W", "2", "-K", "2", "--sequence-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed sequence file: ") and err.count("\n") == 1
+
     def test_zero_degree(self, tmp_path, capsys):
         path = write_windows(tmp_path / "w.json", [2.0, 5.0, 13.0, 35.0], 2)
         assert main(["reconstruct", path, "-d", "0"]) == 2

@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 
 from windowcert.cost import (
     RatioBand,
+    certificate_value,
     cost,
     lipschitz_constant,
     quadratic_upper_bound,
     rcl_residual,
     tolerance_epsilon,
 )
-from windowcert.loggeom import certificate_value
 
 
 def cosh_series(t, terms=40):

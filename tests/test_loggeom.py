@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from windowcert.loggeom import certificate_value, project_mean_zero
+from windowcert.cost import certificate_value, project_mean_zero
 
 finite_vectors = hnp.arrays(
     float,

@@ -84,6 +84,16 @@ class TestCharRoots:
         assert not flags
         assert all(isinstance(n, float) for n in nodes)
 
+    def test_subnormal_coefficients_give_finite_flagged_nodes(self):
+        # t^4 + 1e-313 (t^3 + t) + t^2: the Newton step at the two roots near
+        # 0 overflows.  Those roots keep their eigenvalue estimates, so every
+        # node is finite and the zero and repeated nodes are flagged.
+        coeffs = (-2.2250738585e-313, 1.0, -2.2250738585e-313, 0.0)
+        with np.errstate(all="ignore"):
+            nodes, flags = char_roots(coeffs)
+        assert all(np.isfinite(complex(v)) for v in nodes)
+        assert {ZERO_NODE, REPEATED_NODES} <= flags
+
     def test_newton_polish_accuracy(self):
         # Well-separated roots recovered to near machine precision.
         true = np.array([0.9, 0.5, 0.2, 0.05])
@@ -250,7 +260,8 @@ def _numpy_char_roots(coeffs):
         num = np.polyval(poly, roots)
         den = np.polyval(dpoly, roots)
         safe = np.where(np.abs(den) > 0.0, den, 1.0)
-        roots = roots - np.where(np.abs(den) > 0.0, num / safe, 0.0)
+        step = np.where(np.abs(den) > 0.0, num / safe, 0.0)
+        roots = np.where(np.isfinite(step), roots - step, roots)
     roots = sorted(
         roots, key=lambda v: (-abs(complex(v)), -complex(v).real, -complex(v).imag)
     )
@@ -369,6 +380,7 @@ class TestBitIdentity:
     @example((-2.0, 1.0))  # a double root
     @example((0.0, 1.0))  # +-i
     @example((-0.0, 0.0))
+    @example((-2.2250738585e-313, 1.0, -2.2250738585e-313, 0.0))  # overflowing step
     def test_char_roots_matches_numpy_reference(self, coeffs):
         assert _exact(char_roots, coeffs) == _exact(_numpy_char_roots, coeffs)
 

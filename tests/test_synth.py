@@ -104,14 +104,6 @@ class TestCollision:
         assert r_in <= 1e-10
         assert r_out >= 0.5
 
-    def test_nonnegative_requirement(self):
-        from windowcert.signal import RationalParams
-
-        # A sign-alternating base is rejected.
-        params = RationalParams((1, -1), (1,), 1)
-        with pytest.raises(ValueError):
-            collision_pair(params, 1, 2, 3)
-
 
 class TestFitResidual:
     def test_exact_geometric_tail(self):
