@@ -20,8 +20,8 @@ import numpy as np
 
 from .cost import certificate_value, project_mean_zero
 from .prony import PronyModel, finite_or_none, prony_reconstruct
-from .rankcert import jacobian
-from .signal import RationalParams, WindowData
+from .rankcert import jacobian  # noqa: F401  (bench/tracing.py rebinds certify.jacobian)
+from .signal import WindowData
 
 POSITIVITY = "positivity"
 NEUTRAL_INCONSISTENT = "neutral_inconsistent"
@@ -48,7 +48,8 @@ CERTIFICATE_FLOOR = 1e-24
 
 @dataclass(frozen=True)
 class CertReport:
-    """Decision plus the quantitative bounds backing it."""
+    """Decision plus the quantitative bounds backing it, and the inputs of
+    the threshold: declared noise, eps0, block length W and window count K."""
 
     decision: Decision
     certificate_value: Optional[float]
@@ -56,11 +57,16 @@ class CertReport:
     threshold: Optional[float]
     lipschitz_estimate: Optional[float]
     reconstruction: Optional[PronyModel]
+    noise_eps: float
+    eps0: float
+    W: int
+    K: int
     flags: frozenset = field(default_factory=frozenset)
 
     def to_dict(self) -> dict:
         """The report document: non-finite values are None (JSON null), and
-        ``bound_vacuous`` says whether the threshold is infinite."""
+        ``bound_vacuous`` says whether the threshold is infinite.  When L is
+        set, the threshold is ``eps_bound(L, K, eps0, noise_eps)``."""
         return {
             "decision": self.decision.value,
             "certificate_value": finite_or_none(self.certificate_value),
@@ -68,6 +74,10 @@ class CertReport:
             "threshold": finite_or_none(self.threshold),
             "bound_vacuous": self.threshold == math.inf,
             "L": finite_or_none(self.lipschitz_estimate),
+            "noise_eps": self.noise_eps,
+            "eps0": self.eps0,
+            "W": self.W,
+            "K": self.K,
             "flags": sorted(self.flags),
             "model": self.reconstruction.to_dict()
             if self.reconstruction is not None
@@ -96,18 +106,66 @@ def eps_bound(L: float, K: int, eps0: float, eps: float) -> float:
     return 0.5 * math.exp(exponent) * L * L * K * eps * eps
 
 
-def estimate_lipschitz(params: RationalParams, W: int) -> float:
+def estimate_lipschitz(rates, weights, W: int) -> float:
     """Conditioning of local parameter recovery from window sums.
 
-    Operator 2-norm of the inverse Jacobian of the window map at ``params``,
-    1 / its smallest singular value.  Raises on a singular Jacobian
-    (degenerate locus).
+    L = 1 / sigma_min(J), the operator 2-norm of the inverse of the Jacobian
+    J of the first 2d+1 window sums S_k with respect to the rational
+    parameters (y_0..y_d, q_1..q_d), at the signal y_n = sum_i w_i a_i^n.
+    J is not assembled from a regenerated sequence but by the chain rule
+    through the modes phi = (c, a_1..a_d, w_1..w_d) of
+
+        y_n = sum_i w_i a_i^n + c [n = 0],
+
+    which is every solution of the degree-d recurrence (it holds for
+    n >= d+1 only, so y_0 never feeds it and enters S_0 alone; the free
+    impulse c carries that coordinate).  With H = dS/dphi and
+    M = d(y_0..y_d, q)/dphi, J = H M^-1, where
+
+        H[k] = sum over window k of ([n = 0], n w_i a_i^(n-1), a_i^n),
+        M    = the same unsummed rows for n = 0..d, then
+               dq/da_i = -coeffs of prod_{j != i} (x - a_j)
+
+    (q are the coefficients of prod_i (x - a_i) below its leading 1).  One
+    power table over n < (2d+1)W gives H and the y rows of M.  The point
+    (c = 0) and the quantity are those of the float window-map Jacobian at
+    (y_0..y_d, q); only the arithmetic differs.  Raises ValueError on a
+    singular M or J (``LinAlgError`` subclasses it), i.e. on the degenerate
+    locus: repeated rates or a vanishing weight.
     """
-    jac = np.asarray(jacobian(params, W), dtype=float)
-    smallest = np.linalg.svd(jac, compute_uv=False)[-1]
+    smallest = np.linalg.svd(_modal_jacobian(rates, weights, W), compute_uv=False)[-1]
     if smallest <= 0.0 or not np.isfinite(smallest):
         raise ValueError("Jacobian is singular")
     return float(1.0 / smallest)
+
+
+def _modal_jacobian(rates, weights, W: int) -> np.ndarray:
+    """J = H M^-1 of ``estimate_lipschitz``, columns (y_0..y_d, q_1..q_d).
+
+    Raises ``LinAlgError`` when M is singular.
+    """
+    a = np.asarray(rates, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    d = a.size
+    K = 2 * d + 1
+    n = np.arange(K * W)
+    powers = a ** n[:, None]
+    table = np.zeros((K * W, K))  # row n: dy_n/dphi
+    table[0, 0] = 1.0
+    table[1:, 1 : d + 1] = n[1:, None] * powers[:-1] * w
+    table[:, d + 1 :] = powers
+    M = np.zeros((K, K))
+    M[: d + 1] = table[: d + 1]
+    modes = a.tolist()
+    for i in range(d):
+        # -prod_{j != i} (x - a_j), leading coefficient first; a product,
+        # not a deflation of prod_j (x - a_j), so close rates cancel nothing.
+        coeffs = [-1.0]
+        for aj in modes[:i] + modes[i + 1 :]:
+            coeffs = [c - aj * p for c, p in zip(coeffs + [0.0], [0.0] + coeffs)]
+        M[d + 1 :, 1 + i] = coeffs
+    H = table.reshape(K, W, K).sum(axis=1)
+    return np.linalg.solve(M.T, H.T).T  # J^T = M^-T H^T
 
 
 def decide_certificate(u, threshold: float) -> Decision:
@@ -123,9 +181,10 @@ def _samples_from_model(model: PronyModel, W: int, n_samples: int):
 
     Each window-sum node mu maps to the sample rate a = mu^(1/W) with weight
     chosen so the geometric block sums reproduce the window amplitudes; a node
-    at 1 contributes a constant A/W per sample.  Returns (rates, samples), or
-    None when a node is not a positive real (no positive sample realization in
-    this family).
+    at 1 contributes a constant A/W per sample.  Returns (rates, weights,
+    samples), the modes y_n = sum_i w_i a_i^n and their samples over
+    n < n_samples, or None when a node is not a positive real (no positive
+    sample realization in this family).
     """
     rates = []
     weights = []
@@ -146,10 +205,10 @@ def _samples_from_model(model: PronyModel, W: int, n_samples: int):
     samples = np.zeros(n_samples)
     for a, w in zip(rates, weights):
         samples = samples + w * a**n
-    return rates, samples
+    return rates, weights, samples
 
 
-def _inconclusive(model: Optional[PronyModel], flags) -> CertReport:
+def _inconclusive(w: WindowData, noise_eps: float, model: PronyModel, flags) -> CertReport:
     return CertReport(
         decision=Decision.INCONCLUSIVE,
         certificate_value=None,
@@ -157,6 +216,10 @@ def _inconclusive(model: Optional[PronyModel], flags) -> CertReport:
         threshold=None,
         lipschitz_estimate=None,
         reconstruction=model,
+        noise_eps=noise_eps,
+        eps0=EPS0,
+        W=w.block_length,
+        K=w.count,
         flags=frozenset(flags),
     )
 
@@ -172,27 +235,24 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     K = w.count
     if not 0.0 <= noise_eps <= EPS0:  # also rejects NaN, which no comparison admits
         raise ValueError(f"noise_eps={noise_eps} is outside [0, eps0={EPS0}]")
+    noise_eps = float(noise_eps)  # the report's document field is a float
 
     model = prony_reconstruct(w, d)
     if model.degenerate:
-        return _inconclusive(model, model.flags)
+        return _inconclusive(w, noise_eps, model, model.flags)
 
     horizon = w.block_length * K
     rebuilt = _samples_from_model(model, w.block_length, horizon)
     if rebuilt is None:
-        return _inconclusive(model, {POSITIVITY})
-    rates, samples = rebuilt
+        return _inconclusive(w, noise_eps, model, {POSITIVITY})
+    rates, weights, samples = rebuilt
     if not (samples.min() > 0.0 and samples.max() < math.inf):  # NaN fails both
-        return _inconclusive(model, {POSITIVITY})
+        return _inconclusive(w, noise_eps, model, {POSITIVITY})
 
     try:
-        # Parameters of the rebuilt signal: the recurrence has the rates as roots.
-        recurrence = np.poly(np.asarray(rates))[1:].tolist()
-        lipschitz = estimate_lipschitz(
-            RationalParams(samples[: d + 1].tolist(), recurrence, d), w.block_length
-        )
-    except (ValueError, np.linalg.LinAlgError):
-        return _inconclusive(model, {LIPSCHITZ_SINGULAR})
+        lipschitz = estimate_lipschitz(rates, weights, w.block_length)
+    except ValueError:  # LinAlgError included
+        return _inconclusive(w, noise_eps, model, {LIPSCHITZ_SINGULAR})
 
     threshold = eps_bound(lipschitz, K, EPS0, noise_eps)
     log_samples = np.log(samples)
@@ -223,5 +283,9 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
         threshold=threshold,
         lipschitz_estimate=lipschitz,
         reconstruction=model,
+        noise_eps=noise_eps,
+        eps0=EPS0,
+        W=w.block_length,
+        K=K,
         flags=frozenset(flags),
     )

@@ -126,17 +126,19 @@ def char_roots(coeffs):
     # Trailing zero coefficients give exact zero roots, as in np.roots.
     roots = np.concatenate([np.linalg.eigvals(companion), np.zeros(d - n)])
     dpoly = poly[:-1] * np.arange(d, 0, -1)
-    for _ in range(NEWTON_STEPS):
-        num = np.zeros_like(roots)
-        for c in poly:
-            num = num * roots + c
-        den = np.zeros_like(roots)
-        for c in dpoly:
-            den = den * roots + c
-        nonzero = np.abs(den) > 0.0
-        step = np.where(nonzero, num / np.where(nonzero, den, 1.0), 0.0)
-        # A root whose step overflows (subnormal coefficients) is kept as is.
-        roots = np.where(np.isfinite(step), roots - step, roots)
+    # Subnormal coefficients can overflow the Horner sums and the step; such
+    # a root is kept as is, so the floating-point warnings say nothing.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(NEWTON_STEPS):
+            num = np.zeros_like(roots)
+            for c in poly:
+                num = num * roots + c
+            den = np.zeros_like(roots)
+            for c in dpoly:
+                den = den * roots + c
+            nonzero = np.abs(den) > 0.0
+            step = np.where(nonzero, num / np.where(nonzero, den, 1.0), 0.0)
+            roots = np.where(np.isfinite(step), roots - step, roots)
     # Python scalars: sorting and flagging only compare, subtract and take
     # moduli, which round as in numpy.
     roots = sorted(roots.tolist(), key=_node_order)

@@ -26,7 +26,10 @@ builds in no cancellation between large terms, which keeps float columns
 accurate when the initial values decay fast.  For N = W(2d+1) samples this
 costs about 2Nd + d^2 K multiplications instead of (2d+1)Nd.  Integer
 parameters give a bit-exact integer matrix (Python ints are arbitrary
-precision, so exact assembly never overflows).
+precision, so exact assembly never overflows).  The program assembles it
+only at integer witness points; float (and Fraction) parameters reach it
+only from the tests, where it is the oracle for the closed-form Jacobian of
+``certify.estimate_lipschitz``.
 """
 from __future__ import annotations
 

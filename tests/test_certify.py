@@ -1,22 +1,25 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from windowcert.certify import (
+    EPS0,
     Decision,
     NEUTRAL_INCONSISTENT,
     POSITIVITY,
+    _modal_jacobian,
     decide_certificate,
     eps_bound,
     estimate_lipschitz,
     pipeline,
 )
 from windowcert.cost import CostedCandidates, RatioBand, cost, rank_candidates
+from windowcert.rankcert import jacobian
 from windowcert.signal import RationalParams, WindowData, window_sums
-from windowcert.synth import add_multiplicative_noise, case_a_fixture
-
-from reference_data import WITNESS_D, WITNESS_VECTOR, WITNESS_W
+from windowcert.synth import add_multiplicative_noise, case_a_fixture, case_b_fixture
 
 
 class TestEpsBound:
@@ -54,20 +57,90 @@ class TestEpsBound:
             eps_bound(1.0, 1, 1.0, -0.5)
 
 
+def _exact_jacobian(rates, weights, W):
+    """``rankcert.jacobian`` in Fractions at (y_0..y_d, q) of
+    y_n = sum_i w_i a_i^n, with q the coefficients of prod_i (x - a_i)."""
+    d = len(rates)
+    a = [Fraction(v) for v in rates]
+    w = [Fraction(v) for v in weights]
+    y = [sum(wi * ai**m for ai, wi in zip(a, w)) for m in range(d + 1)]
+    poly = [Fraction(1)]
+    for ai in a:
+        poly = [c - ai * p for c, p in zip(poly + [0], [0] + poly)]
+    return jacobian(RationalParams(y, poly[1:], d), W)
+
+
+def _exact_inverse_norm(jac):
+    """1/sigma_min of an exact square matrix: the inverse is exact too, and
+    sigma_max of its rounding is good to a few ulps at any conditioning."""
+    n = len(jac)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(jac)]
+    for col in range(n):  # Gauss-Jordan on [J | I]
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * u for v, u in zip(rows[r], rows[col])]
+    inverse = np.array([[float(v) for v in r[n:]] for r in rows])
+    return float(np.linalg.svd(inverse, compute_uv=False)[0])
+
+
+@st.composite
+def modal_points(draw):
+    """(rates, weights, W) with d <= 3 and W <= 12.  The window nodes
+    a_i^W lie in [0.1, 0.95] at least 0.05 apart, which keeps the condition
+    number of J below about 1e10, where a float L can carry six digits."""
+    d = draw(st.integers(1, 3))
+    W = draw(st.integers(1, 12))
+    tenths = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d, unique=True))
+    nodes = [k / 10 + draw(st.floats(0.0, 0.05)) for k in tenths]
+    rates = tuple(mu ** (1.0 / W) for mu in nodes)
+    weights = tuple(draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
+    return rates, weights, W
+
+
+_CASE_A = case_a_fixture()
+_CASE_B = case_b_fixture()
+
+
 class TestLipschitz:
     def test_inverse_operator_norm_diagonal(self):
-        # y = (1, 0.5), q = (0,): the Jacobian at W = 1 is diag(1, 1, -0.5),
-        # whose smallest singular value is 0.5.
-        assert estimate_lipschitz(RationalParams((1.0, 0.5), (0.0,), 1), 1) == 2.0
+        # d = 1, W = 1: S = (y_0, y_1, y_2) with y_2 = -q_1 y_1, so J over
+        # (y_0, y_1, q_1) is [[1, 0, 0], [0, 1, 0], [0, -q_1, -y_1]].  The
+        # mode a = 0.5, w = 2 has y_1 = 1 and q_1 = -0.5.
+        jac = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, -1.0]])
+        expected = 1.0 / np.linalg.svd(jac, compute_uv=False)[-1]
+        assert estimate_lipschitz((0.5,), (2.0,), 1) == pytest.approx(expected, rel=1e-14)
 
     def test_witness_point_finite(self):
-        params = RationalParams.from_vector(WITNESS_VECTOR, WITNESS_D)
-        L = estimate_lipschitz(params, WITNESS_W)
+        mix = _CASE_B.mixture
+        L = estimate_lipschitz(mix.rates, mix.weights, _CASE_B.W)
         assert 0.0 < L < math.inf
 
     def test_singular_point_raises(self):
+        # Equal modes make M singular; a zero weight makes dS/da_i vanish.
         with pytest.raises(ValueError):
-            estimate_lipschitz(RationalParams((1, 1), (0,), 1), 2)
+            estimate_lipschitz((0.5, 0.5), (1.0, 1.0), 3)
+        with pytest.raises(ValueError):
+            estimate_lipschitz((0.5,), (0.0,), 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(modal_points())
+    @example(((1.0,), (2.5,), 4))  # constant windows: rate 1
+    @example((_CASE_A.mixture.rates, _CASE_A.mixture.weights, _CASE_A.W))
+    @example((_CASE_B.mixture.rates, _CASE_B.mixture.weights, _CASE_B.W))
+    def test_closed_form_matches_exact_jacobian(self, point):
+        rates, weights, W = point
+        exact = _exact_jacobian(rates, weights, W)
+        expected = _exact_inverse_norm(exact)
+        assert estimate_lipschitz(rates, weights, W) == pytest.approx(expected, rel=1e-6)
+        # L cannot see a sign flip of a whole column block (J D, D = +-1 on
+        # the diagonal, has the singular values of J); the entries can.
+        exact = np.array([[float(v) for v in row] for row in exact])
+        error = np.abs(_modal_jacobian(rates, weights, W) - exact).max()
+        assert error <= 1e-9 * np.abs(exact).max()
 
 
 class TestDecideCertificate:
@@ -156,6 +229,11 @@ class TestPipeline:
         assert obj["decision"] == "zero"
         assert isinstance(obj["flags"], list)
         assert obj["model"] is not None
+
+    def test_report_carries_threshold_inputs(self):
+        obj = pipeline(neutral_windows(1.0, 8, 7), 1, noise_eps=0).to_dict()
+        assert (obj["noise_eps"], obj["eps0"], obj["W"], obj["K"]) == (0.0, EPS0, 8, 7)
+        assert isinstance(obj["noise_eps"], float)  # also for an int argument
 
     def test_perturbation_stays_certified(self):
         # 100 small multiplicative perturbations of a neutral configuration:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from windowcert.certify import eps_bound
 from windowcert.cli import _emit_json, main
 from windowcert.signal import WindowData
 
@@ -466,6 +467,10 @@ DOCUMENT_SHAPES = {
         "threshold": _float_or_null,
         "bound_vacuous": lambda v: isinstance(v, bool),
         "L": _float_or_null,
+        "noise_eps": lambda v: isinstance(v, float) and v >= 0.0,
+        "eps0": lambda v: isinstance(v, float) and v > 0.0,
+        "W": lambda v: _is_int(v) and v >= 1,
+        "K": lambda v: _is_int(v) and v >= 1,
         "flags": _list_of(lambda v: isinstance(v, str)),
         "model": lambda v: _has_shape(v, MODEL_SHAPE),
     },
@@ -530,3 +535,12 @@ def test_roundtrip_windows_to_certify(tmp_path):
     data = WindowData.from_dict(json.loads(wpath.read_text()))
     assert data.sums == (6.0, 6.0, 6.0, 6.0)
     assert main(["certify", str(wpath), "-d", "1"]) == 0
+
+
+def test_certify_threshold_recomputes_from_document(tmp_path, capsys):
+    # The report carries every input of its threshold besides L.
+    path = write_windows(tmp_path / "w.json", [2.0, 5.0, 13.0, 35.0], 2)
+    assert main(["certify", path, "-d", "2", "--noise-eps", "1e-3"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["W"], obj["K"], obj["noise_eps"]) == (2, 4, 1e-3)
+    assert obj["threshold"] == eps_bound(obj["L"], obj["K"], obj["eps0"], obj["noise_eps"])

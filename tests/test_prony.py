@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,16 @@ class TestCharRoots:
             nodes, flags = char_roots(coeffs)
         assert all(np.isfinite(complex(v)) for v in nodes)
         assert {ZERO_NODE, REPEATED_NODES} <= flags
+
+    def test_subnormal_coefficients_warn_nothing(self):
+        # The overflowing Newton step of the test above is expected, so it
+        # must not reach stderr as numpy RuntimeWarnings (numpy's default
+        # error settings, stated here so that no caller's setting hides one).
+        coeffs = (-2.2250738585e-313, 1.0, -2.2250738585e-313, 0.0)
+        defaults = dict(divide="warn", over="warn", under="ignore", invalid="warn")
+        with np.errstate(**defaults), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            char_roots(coeffs)
 
     def test_newton_polish_accuracy(self):
         # Well-separated roots recovered to near machine precision.
