@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -49,19 +50,19 @@ CERTIFICATE_FLOOR = 1e-24
 @dataclass(frozen=True)
 class CertReport:
     """Decision plus the quantitative bounds backing it, and the inputs of
-    the threshold: declared noise, eps0, block length W and window count K."""
+    the threshold: declared noise, block length W and window count K (eps0
+    is ``EPS0``).  An inconclusive report leaves the bounds None."""
 
     decision: Decision
-    certificate_value: Optional[float]
-    defect_estimate: Optional[float]
-    threshold: Optional[float]
-    lipschitz_estimate: Optional[float]
     reconstruction: Optional[PronyModel]
     noise_eps: float
-    eps0: float
     W: int
     K: int
     flags: frozenset = field(default_factory=frozenset)
+    certificate_value: Optional[float] = None
+    defect_estimate: Optional[float] = None
+    threshold: Optional[float] = None
+    lipschitz_estimate: Optional[float] = None
 
     def to_dict(self) -> dict:
         """The report document: non-finite values are None (JSON null), and
@@ -75,7 +76,7 @@ class CertReport:
             "bound_vacuous": self.threshold == math.inf,
             "L": finite_or_none(self.lipschitz_estimate),
             "noise_eps": self.noise_eps,
-            "eps0": self.eps0,
+            "eps0": EPS0,
             "W": self.W,
             "K": self.K,
             "flags": sorted(self.flags),
@@ -181,19 +182,18 @@ def _samples_from_model(model: PronyModel, W: int, n_samples: int):
 
     Each window-sum node mu maps to the sample rate a = mu^(1/W) with weight
     chosen so the geometric block sums reproduce the window amplitudes; a node
-    at 1 contributes a constant A/W per sample.  Returns (rates, weights,
-    samples), the modes y_n = sum_i w_i a_i^n and their samples over
-    n < n_samples, or None when a node is not a positive real (no positive
-    sample realization in this family).
+    at 1 contributes a constant A/W per sample.  The nodes and amplitudes are
+    real floats: a model without flags has no ``complex_nodes``.  Returns
+    (rates, weights, samples), the modes y_n = sum_i w_i a_i^n and their
+    samples over n < n_samples, or None when there is no positive sample
+    realization in this family: a node <= 0, or a sample that is not positive
+    and finite.  This is the pipeline's one positivity gate.
     """
     rates = []
     weights = []
     for mu, amp in zip(model.nodes, model.amplitudes):
-        mu = complex(mu)
-        if abs(mu.imag) > 0.0 or mu.real <= 0.0:
+        if mu <= 0.0:
             return None
-        mu = mu.real
-        amp = complex(amp).real
         if abs(mu - 1.0) <= 1e-12:
             rates.append(1.0)
             weights.append(amp / W)
@@ -205,23 +205,9 @@ def _samples_from_model(model: PronyModel, W: int, n_samples: int):
     samples = np.zeros(n_samples)
     for a, w in zip(rates, weights):
         samples = samples + w * a**n
+    if not (samples.min() > 0.0 and samples.max() < math.inf):  # NaN fails both
+        return None
     return rates, weights, samples
-
-
-def _inconclusive(w: WindowData, noise_eps: float, model: PronyModel, flags) -> CertReport:
-    return CertReport(
-        decision=Decision.INCONCLUSIVE,
-        certificate_value=None,
-        defect_estimate=None,
-        threshold=None,
-        lipschitz_estimate=None,
-        reconstruction=model,
-        noise_eps=noise_eps,
-        eps0=EPS0,
-        W=w.block_length,
-        K=w.count,
-        flags=frozenset(flags),
-    )
 
 
 def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
@@ -232,27 +218,26 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     never escape as exceptions.  Invalid input raises ValueError: noise
     outside [0, eps0], or fewer than 2d windows (from the reconstruction).
     """
-    K = w.count
+    W, K = w.block_length, w.count
     if not 0.0 <= noise_eps <= EPS0:  # also rejects NaN, which no comparison admits
         raise ValueError(f"noise_eps={noise_eps} is outside [0, eps0={EPS0}]")
     noise_eps = float(noise_eps)  # the report's document field is a float
 
     model = prony_reconstruct(w, d)
+    report = partial(CertReport, reconstruction=model, noise_eps=noise_eps, W=W, K=K)
     if model.degenerate:
-        return _inconclusive(w, noise_eps, model, model.flags)
-
-    horizon = w.block_length * K
-    rebuilt = _samples_from_model(model, w.block_length, horizon)
-    if rebuilt is None:
-        return _inconclusive(w, noise_eps, model, {POSITIVITY})
-    rates, weights, samples = rebuilt
-    if not (samples.min() > 0.0 and samples.max() < math.inf):  # NaN fails both
-        return _inconclusive(w, noise_eps, model, {POSITIVITY})
-
-    try:
-        lipschitz = estimate_lipschitz(rates, weights, w.block_length)
-    except ValueError:  # LinAlgError included
-        return _inconclusive(w, noise_eps, model, {LIPSCHITZ_SINGULAR})
+        return report(Decision.INCONCLUSIVE, flags=model.flags)
+    # Growing modes overflow the powers to inf (and inf * 0 to NaN); the
+    # positivity gate and the singular check turn those into verdicts.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rebuilt = _samples_from_model(model, W, W * K)
+        if rebuilt is None:
+            return report(Decision.INCONCLUSIVE, flags=frozenset({POSITIVITY}))
+        rates, weights, samples = rebuilt
+        try:
+            lipschitz = estimate_lipschitz(rates, weights, W)
+        except ValueError:  # LinAlgError included
+            return report(Decision.INCONCLUSIVE, flags=frozenset({LIPSCHITZ_SINGULAR}))
 
     threshold = eps_bound(lipschitz, K, EPS0, noise_eps)
     log_samples = np.log(samples)
@@ -265,7 +250,7 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
         # A zero verdict additionally requires the observed windows to be
         # consistent with a constant (neutral) realization within the noise.
         neutral_level = float(np.exp(log_samples.mean()))
-        neutral_sums = w.block_length * neutral_level
+        neutral_sums = W * neutral_level
         slack = noise_eps + NEUTRAL_SLACK * max(1.0, abs(neutral_sums))
         observed = np.asarray(w.sums, dtype=float)
         if np.abs(observed - neutral_sums).max() <= slack:
@@ -276,16 +261,11 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     else:
         decision = Decision.NONZERO
 
-    return CertReport(
-        decision=decision,
+    return report(
+        decision,
+        flags=frozenset(flags),
         certificate_value=value,
         defect_estimate=defect_estimate,
         threshold=threshold,
         lipschitz_estimate=lipschitz,
-        reconstruction=model,
-        noise_eps=noise_eps,
-        eps0=EPS0,
-        W=w.block_length,
-        K=K,
-        flags=frozenset(flags),
     )

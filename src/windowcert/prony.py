@@ -57,7 +57,8 @@ class PronyModel:
     def to_dict(self) -> dict:
         def enc(v):
             v = complex(v)
-            return v.real if v.imag == 0.0 else {"re": v.real, "im": v.imag}
+            re, im = finite_or_none(v.real), finite_or_none(v.imag)
+            return re if v.imag == 0.0 else {"re": re, "im": im}
 
         return {
             "nodes": [enc(v) for v in self.nodes],
@@ -80,7 +81,9 @@ def solve_recurrence_coeffs(S, d: int):
 
     Solves sum_m a_m S_{k+d-m} = -S_{k+d} for k = 0..d-1.  Returns
     (coeffs, hankel_condition, flags); a numerically rank-deficient Hankel
-    matrix sets the singular flag and falls back to a least-squares solve.
+    matrix, or one that the solve finds singular, sets the singular flag and
+    falls back to a least-squares solve.  Coefficients that overflow set it
+    too.
     """
     s = _sums(S)
     if d < 1:
@@ -95,12 +98,19 @@ def solve_recurrence_coeffs(S, d: int):
     top, low = np.linalg.svd(hankel, compute_uv=False)[[0, -1]].tolist()
     condition = top / low if low > 0.0 else math.inf
     flags = set()
-    if top == 0.0 or low < SINGULAR_RATIO * top:
+    coeffs = None
+    if not (top == 0.0 or low < SINGULAR_RATIO * top):
+        try:
+            coeffs = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:  # exactly singular below a subnormal top
+            pass
+    if coeffs is None:
         flags.add(HANKEL_SINGULAR)
         coeffs = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-    else:
-        coeffs = np.linalg.solve(lhs, rhs)
-    return tuple(coeffs.tolist()), condition, flags
+    coeffs = tuple(coeffs.tolist())
+    if not all(map(math.isfinite, coeffs)):  # the solve overflowed
+        flags.add(HANKEL_SINGULAR)
+    return coeffs, condition, flags
 
 
 def _node_order(v):
@@ -125,10 +135,11 @@ def char_roots(coeffs):
     companion[:1] = -poly[1 : n + 1]
     # Trailing zero coefficients give exact zero roots, as in np.roots.
     roots = np.concatenate([np.linalg.eigvals(companion), np.zeros(d - n)])
-    dpoly = poly[:-1] * np.arange(d, 0, -1)
-    # Subnormal coefficients can overflow the Horner sums and the step; such
-    # a root is kept as is, so the floating-point warnings say nothing.
+    # Huge or subnormal coefficients can overflow the derivative, the Horner
+    # sums and the step; such a root is kept as is, so the floating-point
+    # warnings say nothing.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dpoly = poly[:-1] * np.arange(d, 0, -1)
         for _ in range(NEWTON_STEPS):
             num = np.zeros_like(roots)
             for c in poly:
@@ -146,13 +157,15 @@ def char_roots(coeffs):
     mags = [abs(r) for r in roots]
     top = max(mags)
     if top > 0.0:
-        if min(mags) < ZERO_NODE_RATIO * top:
+        # At or below: below a subnormal top the thresholds underflow to 0,
+        # and an exact zero or repeated node must still be flagged.
+        if min(mags) <= ZERO_NODE_RATIO * top:
             flags.add(ZERO_NODE)
         min_sep = min(
             (abs(roots[i] - roots[j]) for i in range(d) for j in range(i + 1, d)),
             default=math.inf,
         )
-        if min_sep < NODE_SEPARATION * top:
+        if min_sep <= NODE_SEPARATION * top:
             flags.add(REPEATED_NODES)
         if any(abs(r.imag) > IMAG_RATIO * abs(r) for r in roots):
             flags.add(COMPLEX_NODES)

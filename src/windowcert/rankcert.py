@@ -71,13 +71,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _derivative_rows(params: RationalParams, W: int) -> list:
-    """Rows of the Jacobian of the first 2d+1 window sums, one per window.
+def jacobian(params: RationalParams, W: int) -> list:
+    """(2d+1) x (2d+1) Jacobian of the window map; exact for integer params.
 
-    Column order is (y_0..y_d, q_1..q_d).  Each column combines window sums
-    of the impulse response g and the tail response E, delayed by a few
-    samples (see the module docstring).
+    Row k is window k; column order is (y_0..y_d, q_1..q_d).  Each column
+    combines window sums of the impulse response g and the tail response E,
+    delayed by a few samples (see the module docstring).
     """
+    if W < 1:
+        raise ValueError("W must be >= 1")
     d = params.degree
     K = 2 * d + 1
     n = W * K  # the windows cover y_0..y_{n-1}
@@ -108,13 +110,6 @@ def _derivative_rows(params: RationalParams, W: int) -> list:
             col = [c - y[s] * w for c, w in zip(col, win_g[j + s])]
         columns.append(col)
     return [list(row) for row in zip(*columns)]
-
-
-def jacobian(params: RationalParams, W: int) -> list:
-    """(2d+1) x (2d+1) Jacobian of the window map; exact for integer params."""
-    if W < 1:
-        raise ValueError("W must be >= 1")
-    return _derivative_rows(params, W)
 
 
 def det_mod(matrix, p: int) -> int:

@@ -214,8 +214,6 @@ def mixture_window_params(mix: ExponentialMixture, W: int):
     """
     if W < 1:
         raise ValueError("W must be >= 1")
-    if any(a == 1.0 for a in mix.rates):
-        raise ValueError("rate equal to 1 makes the geometric block sum singular")
     nodes = tuple(a**W for a in mix.rates)
     amps = tuple(
         w * (1.0 - a**W) / (1.0 - a) for a, w in zip(mix.rates, mix.weights)

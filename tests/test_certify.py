@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from windowcert.certify import (
     EPS0,
     Decision,
+    LIPSCHITZ_SINGULAR,
     NEUTRAL_INCONSISTENT,
     POSITIVITY,
     _modal_jacobian,
@@ -17,6 +20,12 @@ from windowcert.certify import (
     pipeline,
 )
 from windowcert.cost import CostedCandidates, RatioBand, cost, rank_candidates
+from windowcert.prony import (
+    HANKEL_SINGULAR,
+    REPEATED_NODES,
+    ZERO_NODE,
+    prony_reconstruct,
+)
 from windowcert.rankcert import jacobian
 from windowcert.signal import RationalParams, WindowData, window_sums
 from windowcert.synth import add_multiplicative_noise, case_a_fixture, case_b_fixture
@@ -244,6 +253,83 @@ class TestPipeline:
             data = WindowData(tuple(noisy), 6, 8)
             report = pipeline(data, 1, noise_eps=5e-3)
             assert report.decision is not Decision.NONZERO
+
+
+# Finite window sums that once escaped the pipeline: growing modes that
+# overflow the rebuild, a Hankel solve that overflows (a) or meets an exactly
+# singular matrix below a subnormal top singular value (b), amplitudes of
+# +-inf, and exactly repeated zero nodes below a subnormal top node.  Each is
+# (sums, W, d, flags).
+GROWING_SINGULAR = ((1.0, 1e200), 1, 1, [LIPSCHITZ_SINGULAR])
+GROWING_POSITIVITY = ((1.0, 1e200, 1.0), 1, 1, [POSITIVITY])
+HANKEL_OVERFLOW = (
+    (-0.16431869826172885, 0.6909839628791838, 0.21485982218963584, 8.661289764946615,
+     8.864024957287183, -1.7e308, -4.738480415883655e-148, 8.612845879002471,
+     -0.39439024370193265),
+    4, 3, [HANKEL_SINGULAR],
+)
+HANKEL_SUBNORMAL = (
+    (0.0, 0.0, 5e-324, 0.0, 0.0, 1.5834967767993149e40, -2.91461986160863e135,
+     -0.011354109444856153, 1.0533026094140317e-187),
+    3, 2, [HANKEL_SINGULAR],
+)
+INFINITE_AMPLITUDES = (
+    (-9.130245814586197e-58, -1.7e308, -0.28390125061002336, -0.5631145461695366,
+     1.4834832711701211, 8.01408548340211, 0.06512726817705428, 1.7e308,
+     7.92590670651162e137, 0.36796786383088254),
+    1, 2, [POSITIVITY],
+)
+REPEATED_ZERO_NODES = (
+    (-6.504457828972507e-59, -4.4129200348333155e-241, 3.8077030088130664e287,
+     4.644040689647239e-33, 9.541440844170313e-108, 1.0024385169959008e-298,
+     -3.657154200762134e302),
+    7, 3, [REPEATED_NODES, ZERO_NODE],
+)
+HOSTILE = (GROWING_SINGULAR, GROWING_POSITIVITY, HANKEL_OVERFLOW, HANKEL_SUBNORMAL,
+           INFINITE_AMPLITUDES, REPEATED_ZERO_NODES)
+
+
+def hostile_case(case):
+    """(windows, d, noise) of a (sums, W, d, flags) entry, at zero noise."""
+    sums, W, d, _ = case
+    return WindowData(sums, W, len(sums)), d, 0.0
+
+
+@st.composite
+def hostile_windows(draw):
+    """(windows, d, noise): d <= 3, 2d <= K <= 12, W <= 8 and any finite sums."""
+    d = draw(st.integers(1, 3))
+    K = draw(st.integers(2 * d, 12))
+    W = draw(st.integers(1, 8))
+    sums = draw(st.lists(st.floats(-1.7e308, 1.7e308), min_size=K, max_size=K))
+    noise = draw(st.sampled_from((0.0, 1e-6, 1e-2)))
+    return WindowData(sums, W, K), d, noise
+
+
+class TestHostileSums:
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_flag(self, case):
+        report = pipeline(*hostile_case(case))
+        assert report.decision is Decision.INCONCLUSIVE
+        assert sorted(report.flags) == case[-1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(hostile_windows())
+    @example(hostile_case(GROWING_SINGULAR))
+    @example(hostile_case(GROWING_POSITIVITY))
+    @example(hostile_case(HANKEL_OVERFLOW))
+    @example(hostile_case(HANKEL_SUBNORMAL))
+    @example(hostile_case(INFINITE_AMPLITUDES))
+    @example(hostile_case(REPEATED_ZERO_NODES))
+    def test_pipeline_reports_strict_json(self, case):
+        # Finite sums always give a report: no exception, no warning, and a
+        # document with non-finite values written as null.
+        w, d, noise = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = pipeline(w, d, noise_eps=noise)
+            json.dumps(report.to_dict(), allow_nan=False)
+            json.dumps(prony_reconstruct(w, d).to_dict(), allow_nan=False)
 
 
 class TestRankCandidates:

@@ -13,6 +13,7 @@ from reference_data import (
     WITNESS_DET_RESIDUE,
     WITNESS_WINDOW_SUMS,
 )
+from test_certify import HOSTILE, INFINITE_AMPLITUDES
 
 WITNESS_PI0 = "1 1 5 1 2 2 -2"
 
@@ -399,6 +400,29 @@ class TestStrictJson:
         obj = _strict_json(report.read_text())
         assert obj["model"]["vandermonde_condition"] is None
         assert obj["bound_vacuous"] is False
+
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_hostile_sums_are_flagged(self, tmp_path, capsys, case):
+        sums, W, d, flags = case
+        path = write_windows(tmp_path / "w.json", sums, W)
+        assert main(["certify", path, "-d", str(d)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        obj = _strict_json(captured.out)
+        assert (obj["decision"], obj["flags"]) == ("inconclusive", flags)
+
+    def test_infinite_amplitudes_are_null(self, tmp_path, capsys):
+        # The Prony step raises no flag here, so reconstruct exits 0; the
+        # pipeline finds no positive realization.
+        sums, W, d, _ = INFINITE_AMPLITUDES
+        path = write_windows(tmp_path / "w.json", sums, W)
+        for command, code in (("certify", 3), ("reconstruct", 0)):
+            assert main([command, path, "-d", str(d)]) == code
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            obj = _strict_json(captured.out)
+            model = obj["model"] if command == "certify" else obj
+            assert model["amplitudes"] == [None, None]
 
     def test_non_finite_output_refused(self, capsys):
         with pytest.raises(ValueError):

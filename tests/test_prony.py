@@ -254,11 +254,15 @@ def _list_hankel_coeffs(S, d):
     sv = np.linalg.svd(hankel, compute_uv=False)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
     flags = set()
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_RATIO * sv[0]:
+    try:
+        if sv[0] == 0.0 or sv[-1] < SINGULAR_RATIO * sv[0]:
+            raise np.linalg.LinAlgError
+        coeffs = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
         flags.add(HANKEL_SINGULAR)
         coeffs = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-    else:
-        coeffs = np.linalg.solve(lhs, rhs)
+    if not np.isfinite(coeffs).all():
+        flags.add(HANKEL_SINGULAR)
     return tuple(float(c) for c in coeffs), condition, flags
 
 
@@ -280,13 +284,13 @@ def _numpy_char_roots(coeffs):
     mags = [abs(r) for r in roots]
     top = max(mags) if mags else 0.0
     if top > 0.0:
-        if min(mags) < ZERO_NODE_RATIO * top:
+        if min(mags) <= ZERO_NODE_RATIO * top:
             flags.add(ZERO_NODE)
         min_sep = min(
             (abs(roots[i] - roots[j]) for i in range(d) for j in range(i + 1, d)),
             default=np.inf,
         )
-        if min_sep < NODE_SEPARATION * top:
+        if min_sep <= NODE_SEPARATION * top:
             flags.add(REPEATED_NODES)
         if any(abs(r.imag) > IMAG_RATIO * abs(r) for r in roots):
             flags.add(COMPLEX_NODES)
@@ -392,6 +396,8 @@ class TestBitIdentity:
     @example((0.0, 1.0))  # +-i
     @example((-0.0, 0.0))
     @example((-2.2250738585e-313, 1.0, -2.2250738585e-313, 0.0))  # overflowing step
+    @example((-5e-324, 0.0))  # a zero node below a subnormal top
+    @example((-1.22e-320, -0.0, -0.0))  # a repeated zero node, likewise
     def test_char_roots_matches_numpy_reference(self, coeffs):
         assert _exact(char_roots, coeffs) == _exact(_numpy_char_roots, coeffs)
 
@@ -422,6 +428,8 @@ class TestBitIdentity:
     )
     @example((2, [1.0, 2.0, 4.0, 8.0]))  # rank-one Hankel: the lstsq branch
     @example((1, [0.0, 0.0]))
+    @example((2, [0.0, 0.0, 5e-324, 0.0]))  # singular below a subnormal top
+    @example((1, [5e-324, 1e3]))  # the solve overflows
     def test_recurrence_coeffs_match_list_hankel(self, case):
         d, sums = case
         assert _exact(solve_recurrence_coeffs, sums, d) == _exact(
