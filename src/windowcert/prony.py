@@ -179,7 +179,7 @@ def char_roots(coeffs):
 def solve_amplitudes(S, nodes):
     """Amplitudes from the Vandermonde system V(mu) A = (S_0..S_{d-1}).
 
-    Repeated nodes make the system singular and raise; near-vanishing
+    Repeated nodes make the system singular and raise; tiny or non-finite
     amplitudes are flagged.  Returns (amplitudes, vandermonde_condition, flags).
     """
     s = _sums(S)
@@ -195,7 +195,8 @@ def solve_amplitudes(S, nodes):
     amps = np.linalg.solve(vdm, s[:d].astype(vdm.dtype))
     flags = set()
     mags = np.abs(amps).tolist()
-    if max(mags) == 0.0 or min(mags) < ZERO_AMPLITUDE_RATIO * max(mags):
+    # inf/NaN from an overflowed solve; <= as the threshold underflows to 0.
+    if not all(map(math.isfinite, mags)) or min(mags) <= ZERO_AMPLITUDE_RATIO * max(mags):
         flags.add(ZERO_AMPLITUDE)
     return tuple(amps.tolist()), condition, flags
 

@@ -13,7 +13,7 @@ from reference_data import (
     WITNESS_DET_RESIDUE,
     WITNESS_WINDOW_SUMS,
 )
-from test_certify import HOSTILE, INFINITE_AMPLITUDES
+from test_certify import HOSTILE, INFINITE_AMPLITUDES, NEAR_CONSTANT
 
 WITNESS_PI0 = "1 1 5 1 2 2 -2"
 
@@ -185,6 +185,13 @@ class TestCertify:
     def test_noise_beyond_regime(self, tmp_path):
         path = write_windows(tmp_path / "w.json", [8.0] * 7, 8)
         assert main(["certify", path, "-d", "1", "--noise-eps", "0.5"]) == 2
+
+    def test_constant_above_bound_exit(self, tmp_path, capsys):
+        w, d, noise = NEAR_CONSTANT
+        path = write_windows(tmp_path / "w.json", w.sums, w.block_length)
+        assert main(["certify", path, "-d", str(d), "--noise-eps", repr(noise)]) == 3
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["decision"], obj["flags"]) == ("inconclusive", ["bound_exceeded"])
 
 
 class TestSynth:
@@ -412,11 +419,11 @@ class TestStrictJson:
         assert (obj["decision"], obj["flags"]) == ("inconclusive", flags)
 
     def test_infinite_amplitudes_are_null(self, tmp_path, capsys):
-        # The Prony step raises no flag here, so reconstruct exits 0; the
-        # pipeline finds no positive realization.
+        # The Prony step flags the overflowed amplitudes, so reconstruct
+        # exits 1 and certify 3.
         sums, W, d, _ = INFINITE_AMPLITUDES
         path = write_windows(tmp_path / "w.json", sums, W)
-        for command, code in (("certify", 3), ("reconstruct", 0)):
+        for command, code in (("certify", 3), ("reconstruct", 1)):
             assert main([command, path, "-d", str(d)]) == code
             captured = capsys.readouterr()
             assert captured.err == ""

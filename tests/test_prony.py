@@ -138,6 +138,22 @@ class TestAmplitudes:
         assert ZERO_AMPLITUDE in flags
         assert abs(amps[1]) < 1e-12
 
+    def test_zero_amplitude_below_subnormal_top(self):
+        # The relative threshold underflows to 0; an exact zero still counts.
+        amps, _, flags = solve_amplitudes((1e-320, 5e-321), (0.5, 0.25))
+        assert amps == (1e-320, -0.0)
+        assert flags == {ZERO_AMPLITUDE}
+
+    def test_overflowed_amplitudes_flagged(self):
+        # The solve overflows to inf and NaN, which no ratio test orders.
+        sums = (5.60152097088625e274, -1.2485987830090169e286, -8.215170941867121e307)
+        nodes = (-0.23849138113686408, 1.7086182122714697, 1.818361974762949)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            amps, _, flags = solve_amplitudes(sums, nodes)
+        assert not all(np.isfinite(amps))
+        assert flags == {ZERO_AMPLITUDE}
+
 
 class TestReconstruct:
     def test_single_geometric(self):
@@ -312,7 +328,7 @@ def _scalar_vandermonde_amplitudes(S, nodes):
     amps = np.linalg.solve(vdm, s[:d].astype(vdm.dtype))
     flags = set()
     mags = np.abs(amps)
-    if mags.max() == 0.0 or mags.min() < ZERO_AMPLITUDE_RATIO * mags.max():
+    if not np.isfinite(mags).all() or mags.min() <= ZERO_AMPLITUDE_RATIO * mags.max():
         flags.add(ZERO_AMPLITUDE)
     if np.iscomplexobj(amps):
         return tuple(complex(a) for a in amps), condition, flags
@@ -406,6 +422,7 @@ class TestBitIdentity:
         monic_coefficients(),
         st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=6, max_size=6),
     )
+    @example((-0.75, 0.125), [1e-320, 5e-321, 0.0, 0.0, 0.0, 0.0])  # subnormal top
     def test_amplitudes_match_scalar_vandermonde(self, coeffs, sums):
         nodes = char_roots(coeffs)[0]
         ref_nodes = _numpy_char_roots(coeffs)[0]
