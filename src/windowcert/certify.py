@@ -131,10 +131,10 @@ def estimate_lipschitz(rates, weights, W: int) -> float:
     singular M or J (``LinAlgError`` subclasses it), i.e. on the degenerate
     locus: repeated rates or a vanishing weight.
     """
-    smallest = np.linalg.svd(_modal_jacobian(rates, weights, W), compute_uv=False)[-1]
-    if smallest <= 0.0 or not np.isfinite(smallest):
+    smallest = float(np.linalg.svd(_modal_jacobian(rates, weights, W), compute_uv=False)[-1])
+    if smallest <= 0.0 or not math.isfinite(smallest):
         raise ValueError("Jacobian is singular")
-    return float(1.0 / smallest)
+    return 1.0 / smallest
 
 
 def _modal_jacobian(rates, weights, W: int) -> np.ndarray:
@@ -155,13 +155,15 @@ def _modal_jacobian(rates, weights, W: int) -> np.ndarray:
     M = np.zeros((K, K))
     M[: d + 1] = table[: d + 1]
     modes = a.tolist()
+    columns = []
     for i in range(d):
         # -prod_{j != i} (x - a_j), leading coefficient first; a product,
         # not a deflation of prod_j (x - a_j), so close rates cancel nothing.
         coeffs = [-1.0]
         for aj in modes[:i] + modes[i + 1 :]:
             coeffs = [c - aj * p for c, p in zip(coeffs + [0.0], [0.0] + coeffs)]
-        M[d + 1 :, 1 + i] = coeffs
+        columns.append(coeffs)
+    M[d + 1 :, 1 : d + 1] = np.array(columns).T
     H = table.reshape(K, W, K).sum(axis=1)
     return np.linalg.solve(M.T, H.T).T  # J^T = M^-T H^T
 
@@ -201,7 +203,7 @@ def _samples_from_model(model: PronyModel, W: int, n_samples: int):
     n = np.arange(n_samples)
     samples = np.zeros(n_samples)
     for a, w in zip(rates, weights):
-        samples = samples + w * a**n
+        samples += w * a**n
     if not (samples.min() > 0.0 and samples.max() < math.inf):  # NaN fails both
         return None
     return rates, weights, samples
@@ -221,6 +223,12 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     - ``zero`` iff a constant is within the noise and the certificate is at
       most ``max(eps_bound(L, K, eps0, noise_eps), CERTIFICATE_FLOOR)``;
     - ``inconclusive`` with ``bound_exceeded`` otherwise.
+
+    At ``noise_eps`` > 0 zero does not say the signal is constant: a
+    constant plus a mode whose window sums stay within the noise gives the
+    same data.  It says that every positive signal of order at most d whose
+    window sums are within ``noise_eps`` of the data has certificate at most
+    the threshold (or ``CERTIFICATE_FLOOR``, if larger).
 
     Invalid input raises ValueError: noise outside [0, eps0], or fewer than
     2d windows (from the reconstruction).

@@ -99,10 +99,12 @@ def solve_recurrence_coeffs(S, d: int):
     condition = top / low if low > 0.0 else math.inf
     flags = set()
     coeffs = None
-    if not (top == 0.0 or low < SINGULAR_RATIO * top):
+    # At or below: the threshold underflows to 0 below a subnormal top, and
+    # an all-zero Hankel matrix (top = low = 0) is singular too.
+    if not low <= SINGULAR_RATIO * top:
         try:
             coeffs = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:  # exactly singular below a subnormal top
+        except np.linalg.LinAlgError:  # a pivot underflows to 0 among subnormals
             pass
     if coeffs is None:
         flags.add(HANKEL_SINGULAR)
@@ -118,12 +120,36 @@ def _node_order(v):
     return (-abs(v), -v.real, -v.imag)
 
 
+def _polish_real(r, poly, dpoly):
+    """``NEWTON_STEPS`` Newton steps on the real root estimate ``r``, in
+    Python floats: the Horner sums, quotient and update of the array loop in
+    ``char_roots``, rounded alike, with no floating-point warnings."""
+    for _ in range(NEWTON_STEPS):
+        num = den = 0.0
+        for c in poly:
+            num = num * r + c
+        for c in dpoly:
+            den = den * r + c
+        if abs(den) > 0.0:
+            step = num / den
+            if math.isfinite(step):
+                r = r - step
+    return r
+
+
 def char_roots(coeffs):
     """Roots of t^d + a_1 t^{d-1} + ... + a_d, Newton-polished and ordered.
 
+    The estimates are the eigenvalues of the companion matrix of the
+    nonzero-trailing part, as in ``np.roots``, plus one exact zero per
+    trailing zero coefficient; each gets ``NEWTON_STEPS`` Newton steps with
+    Horner sums, as ``np.polyval`` takes them.  When the eigenvalues are real
+    (``eigvals`` returns a float array) the steps run in Python floats, whose
+    products, sums and quotients round exactly as numpy's float64 loops do;
+    complex estimates keep the numpy array loop, because numpy's complex
+    multiply may fuse multiply-adds (FMA), which Python's complex does not.
     Ordering is by descending modulus, ties broken by descending real then
-    imaginary part.  Returns (nodes, flags).  The array operations, and so
-    the roundings, are those of ``np.roots`` and of ``np.polyval`` steps.
+    imaginary part.  Returns (nodes, flags).
     """
     coeffs = tuple(coeffs)
     d = len(coeffs)
@@ -133,26 +159,33 @@ def char_roots(coeffs):
     n = max(k for k, c in enumerate(poly.tolist()) if c != 0.0)
     companion = np.eye(n, k=-1)
     companion[:1] = -poly[1 : n + 1]
+    eig = np.linalg.eigvals(companion)
     # Trailing zero coefficients give exact zero roots, as in np.roots.
-    roots = np.concatenate([np.linalg.eigvals(companion), np.zeros(d - n)])
     # Huge or subnormal coefficients can overflow the derivative, the Horner
-    # sums and the step; such a root is kept as is, so the floating-point
-    # warnings say nothing.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dpoly = poly[:-1] * np.arange(d, 0, -1)
-        for _ in range(NEWTON_STEPS):
-            num = np.zeros_like(roots)
-            for c in poly:
-                num = num * roots + c
-            den = np.zeros_like(roots)
-            for c in dpoly:
-                den = den * roots + c
-            nonzero = np.abs(den) > 0.0
-            step = np.where(nonzero, num / np.where(nonzero, den, 1.0), 0.0)
-            roots = np.where(np.isfinite(step), roots - step, roots)
+    # sums and the step; such a root is kept as is, and neither branch lets
+    # a floating-point warning out.
+    if eig.dtype.kind == "f":
+        poly = poly.tolist()
+        dpoly = [c * k for c, k in zip(poly, range(d, 0, -1))]
+        roots = [_polish_real(r, poly, dpoly) for r in eig.tolist() + [0.0] * (d - n)]
+    else:
+        roots = np.concatenate([eig, np.zeros(d - n)])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            dpoly = poly[:-1] * np.arange(d, 0, -1)
+            for _ in range(NEWTON_STEPS):
+                num = np.zeros_like(roots)
+                for c in poly:
+                    num = num * roots + c
+                den = np.zeros_like(roots)
+                for c in dpoly:
+                    den = den * roots + c
+                nonzero = np.abs(den) > 0.0
+                step = np.where(nonzero, num / np.where(nonzero, den, 1.0), 0.0)
+                roots = np.where(np.isfinite(step), roots - step, roots)
+        roots = roots.tolist()
     # Python scalars: sorting and flagging only compare, subtract and take
     # moduli, which round as in numpy.
-    roots = sorted(roots.tolist(), key=_node_order)
+    roots = sorted(roots, key=_node_order)
     flags = set()
     mags = [abs(r) for r in roots]
     top = max(mags)

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from windowcert.certify import (
     BOUND_EXCEEDED,
+    CERTIFICATE_FLOOR,
     EPS0,
     Decision,
     LIPSCHITZ_SINGULAR,
@@ -19,7 +20,14 @@ from windowcert.certify import (
     estimate_lipschitz,
     pipeline,
 )
-from windowcert.cost import CostedCandidates, RatioBand, cost, rank_candidates
+from windowcert.cost import (
+    CostedCandidates,
+    RatioBand,
+    certificate_value,
+    cost,
+    project_mean_zero,
+    rank_candidates,
+)
 from windowcert.prony import (
     HANKEL_SINGULAR,
     REPEATED_NODES,
@@ -198,6 +206,26 @@ def constant_windows(draw):
     return WindowData(tuple(W * level + noise * v for v in u), W, K), d, noise
 
 
+@st.composite
+def constant_plus_mode(draw):
+    """(windows, d, noise, y): y_n = c + b a^n over n < W K, with every
+    window sum within the noise of W c, and its window sums as the data;
+    d = 2, so y is an order-d signal within the noise of the data."""
+    W = draw(st.integers(2, 12))
+    K = draw(st.integers(4, 12))
+    c = draw(st.floats(0.5, 5.0))
+    a = draw(st.floats(0.5, 1.5))
+    noise = draw(st.sampled_from((1e-6, 1e-4, 1e-3, 1e-2)))
+    # b a^n over window k sums to b g_k, and |b| max g = |t| noise.
+    t = draw(st.floats(-1.0, 1.0))
+    g = [math.fsum(a**n for n in range(k * W, (k + 1) * W)) for k in range(K)]
+    b = t * noise / max(g)
+    y = [c + b * a**n for n in range(W * K)]
+    sums = tuple(math.fsum(y[k * W : (k + 1) * W]) for k in range(K))
+    assume(max(abs(s - W * c) for s in sums) <= noise)  # after rounding
+    return WindowData(sums, W, K), 2, noise, y
+
+
 class TestPipeline:
     def test_neutral_is_zero(self):
         report = pipeline(neutral_windows(1.0, 8, 7), 1)
@@ -278,6 +306,18 @@ class TestPipeline:
             assert report.decision is not Decision.NONZERO
         if report.certificate_value is not None:
             assert (report.decision is Decision.NONZERO) == (spread > 2 * noise)
+
+    @settings(max_examples=300, deadline=None)
+    @given(constant_plus_mode())
+    def test_zero_bounds_every_signal_within_noise(self, case):
+        # A zero verdict claims that every positive order-d signal within
+        # the noise of the data has certificate at most the threshold; the
+        # drawn y is one, since its window sums are the data.
+        w, d, noise, y = case
+        report = pipeline(w, d, noise_eps=noise)
+        if report.decision is Decision.ZERO:
+            value = certificate_value(project_mean_zero(np.log(y)))
+            assert value <= max(report.threshold, CERTIFICATE_FLOOR)
 
     def test_perturbation_stays_certified(self):
         # 100 small multiplicative perturbations of a neutral configuration:

@@ -55,8 +55,30 @@ class TestRecurrenceCoeffs:
         with pytest.raises(ValueError):
             solve_recurrence_coeffs([1.0, 2.0, 4.0], 2)
 
+    def test_singular_below_subnormal_top(self):
+        # S_k = 1e-320 / 2^k is rank one at d = 2; the relative threshold
+        # underflows to 0, and the smallest singular value is 0.
+        model = prony_reconstruct((1e-320, 5e-321, 2.5e-321, 1.25e-321), 2)
+        assert model.flags == {HANKEL_SINGULAR}
+        assert model.nodes == ()
+
+
+# Coefficients whose companion eigenvalues are real (``eigvals`` returns a
+# float array), so that ``char_roots`` polishes them in Python floats: one
+# case per exit of that polish.
+_REAL_POLISH = (
+    (-4.0, 4.0),  # the double root 2, where the derivative is exactly 0
+    (-1e163, 1e200),  # the Horner sum at the root near 1e163 overflows
+    (-6.0, 11.0, -6.0, 0.0, 0.0),  # roots 3, 2, 1 and two trailing exact zeros
+    (-21.0, 175.0, -735.0, 1624.0, -1764.0, 720.0),  # d = 6: roots 6, 5, ..., 1
+)
+
 
 class TestCharRoots:
+    @pytest.mark.parametrize("coeffs", _REAL_POLISH)
+    def test_real_polish_cases_have_real_eigenvalues(self, coeffs):
+        assert np.roots((1.0, *coeffs)).dtype == np.float64
+
     def test_quadratic(self):
         nodes, flags = char_roots((-5.0, 6.0))
         assert not flags
@@ -271,7 +293,7 @@ def _list_hankel_coeffs(S, d):
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
     flags = set()
     try:
-        if sv[0] == 0.0 or sv[-1] < SINGULAR_RATIO * sv[0]:
+        if sv[0] == 0.0 or sv[-1] <= SINGULAR_RATIO * sv[0]:
             raise np.linalg.LinAlgError
         coeffs = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
@@ -287,12 +309,13 @@ def _numpy_char_roots(coeffs):
     poly = np.concatenate([[1.0], np.asarray(coeffs, dtype=float)])
     roots = np.roots(poly)
     dpoly = np.polyder(poly)
-    for _ in range(NEWTON_STEPS):
-        num = np.polyval(poly, roots)
-        den = np.polyval(dpoly, roots)
-        safe = np.where(np.abs(den) > 0.0, den, 1.0)
-        step = np.where(np.abs(den) > 0.0, num / safe, 0.0)
-        roots = np.where(np.isfinite(step), roots - step, roots)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(NEWTON_STEPS):
+            num = np.polyval(poly, roots)
+            den = np.polyval(dpoly, roots)
+            safe = np.where(np.abs(den) > 0.0, den, 1.0)
+            step = np.where(np.abs(den) > 0.0, num / safe, 0.0)
+            roots = np.where(np.isfinite(step), roots - step, roots)
     roots = sorted(
         roots, key=lambda v: (-abs(complex(v)), -complex(v).real, -complex(v).imag)
     )
@@ -414,6 +437,10 @@ class TestBitIdentity:
     @example((-2.2250738585e-313, 1.0, -2.2250738585e-313, 0.0))  # overflowing step
     @example((-5e-324, 0.0))  # a zero node below a subnormal top
     @example((-1.22e-320, -0.0, -0.0))  # a repeated zero node, likewise
+    @example(_REAL_POLISH[0])  # real roots: den == 0
+    @example(_REAL_POLISH[1])  # real roots: a non-finite step
+    @example(_REAL_POLISH[2])  # real roots: trailing exact zeros
+    @example(_REAL_POLISH[3])  # real roots: d = 6
     def test_char_roots_matches_numpy_reference(self, coeffs):
         assert _exact(char_roots, coeffs) == _exact(_numpy_char_roots, coeffs)
 
@@ -447,6 +474,7 @@ class TestBitIdentity:
     @example((1, [0.0, 0.0]))
     @example((2, [0.0, 0.0, 5e-324, 0.0]))  # singular below a subnormal top
     @example((1, [5e-324, 1e3]))  # the solve overflows
+    @example((2, [1e-320, 5e-321, 2.5e-321, 1.25e-321]))  # rank one, subnormal top
     def test_recurrence_coeffs_match_list_hankel(self, case):
         d, sums = case
         assert _exact(solve_recurrence_coeffs, sums, d) == _exact(
