@@ -22,7 +22,7 @@ import numpy as np
 from .cost import certificate_value, project_mean_zero
 from .prony import PronyModel, finite_or_none, prony_reconstruct
 from .rankcert import jacobian  # noqa: F401  (bench/tracing.py rebinds certify.jacobian)
-from .signal import WindowData
+from .signal import WindowData, exponential_sum
 
 POSITIVITY = "positivity"
 LIPSCHITZ_SINGULAR = "lipschitz_singular"
@@ -200,10 +200,7 @@ def _samples_from_model(model: PronyModel, W: int, n_samples: int):
             a = mu ** (1.0 / W)
             rates.append(a)
             weights.append(amp * (1.0 - a) / (1.0 - mu))
-    n = np.arange(n_samples)
-    samples = np.zeros(n_samples)
-    for a, w in zip(rates, weights):
-        samples += w * a**n
+    samples = exponential_sum(rates, weights, n_samples)
     if not (samples.min() > 0.0 and samples.max() < math.inf):  # NaN fails both
         return None
     return rates, weights, samples
@@ -230,15 +227,16 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     window sums are within ``noise_eps`` of the data has certificate at most
     the threshold (or ``CERTIFICATE_FLOOR``, if larger).
 
-    Invalid input raises ValueError: noise outside [0, eps0], or fewer than
-    2d windows (from the reconstruction).
+    Invalid input raises ValueError: noise outside [0, eps0], a sum beyond
+    the float range, or fewer than 2d windows (from the reconstruction).
     """
     W, K = w.block_length, w.count
     if not 0.0 <= noise_eps <= EPS0:  # also rejects NaN, which no comparison admits
         raise ValueError(f"noise_eps={noise_eps} is outside [0, eps0={EPS0}]")
     noise_eps = float(noise_eps)  # the report's document field is a float
+    sums = w.floats()
 
-    model = prony_reconstruct(w, d)
+    model = prony_reconstruct(sums, d)
     report = partial(CertReport, reconstruction=model, noise_eps=noise_eps, W=W, K=K)
     if model.degenerate:
         return report(Decision.INCONCLUSIVE, flags=model.flags)
@@ -261,7 +259,6 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
 
     # Rounding is monotone and 2 eps exact, so an exact half-range <= eps
     # never reads as nonzero; Python floats turn extreme sums into inf quietly.
-    sums = [float(s) for s in w.sums]
     if max(sums) - min(sums) > 2.0 * noise_eps:
         decision, flags = Decision.NONZERO, frozenset()
     elif value <= max(threshold, CERTIFICATE_FLOOR):

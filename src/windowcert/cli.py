@@ -85,14 +85,13 @@ def cmd_windows(args) -> int:
     elif args.pi0:
         if args.d is None:
             raise CliError("--pi0 requires -d")
-        seq = generate_sequence(_parse_pi0(args.pi0, args.d), args.W * args.K - 1)
+        # At least y_0..y_d, so that the recurrence is defined however few
+        # samples the windows take; window_sums checks W and K.
+        n_max = max(args.W * args.K - 1, args.d)
+        seq = generate_sequence(_parse_pi0(args.pi0, args.d), n_max)
     else:
         raise CliError("provide --pi0 or --sequence-file")
-    data = window_sums(seq, args.W, args.K)
-    if args.out and args.out.endswith(".csv"):
-        _write(data.to_csv(), args.out)
-    else:
-        _emit_json(data.to_dict(), args.out)
+    _emit_json(window_sums(seq, args.W, args.K).to_dict(), args.out)
     return 0
 
 

@@ -71,9 +71,7 @@ class PronyModel:
 
 
 def _sums(S) -> np.ndarray:
-    if isinstance(S, WindowData):
-        return np.asarray(S.sums, dtype=float)
-    return np.asarray(S, dtype=float)
+    return np.asarray(S.floats() if isinstance(S, WindowData) else S, dtype=float)
 
 
 def solve_recurrence_coeffs(S, d: int):

@@ -140,17 +140,31 @@ def det_mod(matrix, p: int) -> int:
 
 @dataclass(frozen=True)
 class RankCertificate:
-    """Integer witness point plus its modular determinant verdict."""
+    """Integer witness point, its exact Jacobian and the determinant residue
+    mod p.  Every other claim of the document is derived from these."""
 
     params: RationalParams
-    d: int
     W: int
     prime: int
     jacobian: tuple
     det_residue: int
-    nonzero: bool
-    window_sums: tuple
-    exact: bool = True
+
+    exact = True  # the Jacobian is assembled in integer arithmetic
+
+    @property
+    def d(self) -> int:
+        return self.params.degree
+
+    @property
+    def nonzero(self) -> bool:
+        return self.det_residue != 0
+
+    @property
+    def window_sums(self) -> tuple:
+        """The first 2d+1 window sums.  The signal is linear in its initial
+        values, so S_k = sum_a J[k][a] y_a."""
+        y = self.params.initial
+        return tuple(sum(map(mul, row[: len(y)], y)) for row in self.jacobian)
 
     def to_dict(self) -> dict:
         return {
@@ -167,17 +181,16 @@ class RankCertificate:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RankCertificate":
-        d = int(obj["d"])
+        """Decode the measured fields; ``d`` is read from the length of
+        ``pi0``, and the derived claims are not read, so re-encoding
+        restates them from the point, Jacobian and residue."""
+        pi0 = [int(v) for v in obj["pi0"]]
         return cls(
-            params=RationalParams.from_vector([int(v) for v in obj["pi0"]], d),
-            d=d,
+            params=RationalParams.from_vector(pi0, len(pi0) // 2),
             W=int(obj["W"]),
             prime=int(obj["p"]),
             jacobian=tuple(tuple(int(v) for v in row) for row in obj["jacobian"]),
             det_residue=int(obj["det_mod_p"]),
-            nonzero=bool(obj["nonzero"]),
-            window_sums=tuple(int(v) for v in obj["window_sums"]),
-            exact=bool(obj["exact"]),
         )
 
 
@@ -187,21 +200,8 @@ def certify_witness(params: RationalParams, d: int, W: int, p: int) -> RankCerti
         raise ValueError(f"params have degree {params.degree}, expected {d}")
     if not params.is_integer:
         raise ValueError("witness certification requires integer parameters")
-    jac = jacobian(params, W)
-    residue = det_mod(jac, p)  # raises on a composite modulus
-    # The signal is linear in its initial values, so S_k = sum_a J[k][a] y_a.
-    sums = tuple(sum(map(mul, row[: d + 1], params.initial)) for row in jac)
-    return RankCertificate(
-        params=params,
-        d=d,
-        W=W,
-        prime=p,
-        jacobian=tuple(tuple(row) for row in jac),
-        det_residue=residue,
-        nonzero=residue != 0,
-        window_sums=sums,
-        exact=True,
-    )
+    jac = tuple(map(tuple, jacobian(params, W)))
+    return RankCertificate(params, W, p, jac, det_mod(jac, p))  # det_mod rejects a composite p
 
 
 def search_witness(

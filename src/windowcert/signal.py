@@ -6,15 +6,14 @@ y_n = -(q_1 y_{n-1} + ... + q_d y_{n-d}).  The observable is the vector of
 W-block window sums S_k = sum_{j<W} y_{Wk+j}, which ``block_sums`` computes,
 also for delayed sequences (the Jacobian assembly in ``rankcert``).  The
 window nodes and amplitudes of an exponential mixture come from
-``mixture_window_params``.
+``mixture_window_params``, and the samples of any exponential sum
+y_n = sum_i w_i a_i^n from ``exponential_sum``.
 
 Sequence generation runs in exact integer arithmetic when every parameter is
 an integer (Python ints never overflow), and in double precision otherwise.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -70,13 +69,6 @@ class RationalParams:
         return all(_is_int(v) for v in self.as_vector())
 
 
-def _floats(sums) -> list:
-    try:
-        return [float(s) for s in sums]
-    except OverflowError as exc:
-        raise ValueError("a window sum exceeds the float range") from exc
-
-
 @dataclass(frozen=True)
 class WindowData:
     """K window sums at block length W."""
@@ -96,9 +88,18 @@ class WindowData:
         if not all(_is_int(s) or math.isfinite(s) for s in self.sums):
             raise ValueError("window sums must be finite")
 
+    def floats(self) -> list:
+        """The sums as Python floats: the one float view of them, which the
+        windows document and the reconstruction use.  An exact sum beyond
+        the float range raises ValueError."""
+        try:
+            return [float(s) for s in self.sums]
+        except OverflowError as exc:
+            raise ValueError("a window sum exceeds the float range") from exc
+
     def to_dict(self) -> dict:
         """The windows document; exact sums are written as floats."""
-        return {"W": self.block_length, "K": self.count, "sums": _floats(self.sums)}
+        return {"W": self.block_length, "K": self.count, "sums": self.floats()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -125,16 +126,9 @@ class WindowData:
             _is_int(s) or isinstance(s, float) for s in sums
         ):
             raise ValueError("sums must be a list of numbers")
-        _floats(sums)  # the reconstruction computes in floats
-        return cls(tuple(sums), int(obj["W"]), int(obj["K"]))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "S_k"])
-        for k, s in enumerate(self.sums):
-            writer.writerow([k, repr(s) if isinstance(s, float) else s])
-        return buf.getvalue()
+        data = cls(tuple(sums), int(obj["W"]), int(obj["K"]))
+        data.floats()  # the reconstruction computes in floats
+        return data
 
 
 def generate_sequence(params: RationalParams, n_max: int) -> list:
@@ -196,14 +190,21 @@ class ExponentialMixture:
             raise ValueError("weights must be strictly positive")
 
 
+def exponential_sum(rates, weights, n_samples: int) -> np.ndarray:
+    """Samples y_0..y_{n_samples-1} of y_n = sum_i w_i a_i^n, for any real
+    modes (a_i, w_i), accumulated mode by mode in the given order."""
+    n = np.arange(n_samples)
+    samples = np.zeros(n_samples)
+    for a, w in zip(rates, weights):
+        samples += w * a**n
+    return samples
+
+
 def mixture_sequence(mix: ExponentialMixture, n_max: int) -> np.ndarray:
     """Samples y_0..y_{n_max} of the exponential mixture."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    n = np.arange(n_max + 1)
-    a = np.asarray(mix.rates)
-    w = np.asarray(mix.weights)
-    return (w[None, :] * a[None, :] ** n[:, None]).sum(axis=1)
+    return exponential_sum(mix.rates, mix.weights, n_max + 1)
 
 
 def mixture_window_params(mix: ExponentialMixture, W: int):

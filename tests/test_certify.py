@@ -406,6 +406,14 @@ class TestHostileSums:
             json.dumps(report.to_dict(), allow_nan=False)
             json.dumps(prony_reconstruct(w, d).to_dict(), allow_nan=False)
 
+    @pytest.mark.parametrize("reconstruct", [pipeline, prony_reconstruct])
+    def test_integer_sums_beyond_float_range(self, reconstruct):
+        # Exact sums that no float holds are bad input, as in the windows
+        # document, not an OverflowError.
+        w = WindowData((10**400,) * 4, 1, 4)
+        with pytest.raises(ValueError, match="^a window sum exceeds the float range$"):
+            reconstruct(w, 1)
+
 
 class TestRankCandidates:
     def test_band_membership_enforced(self):

@@ -43,14 +43,21 @@ class TestWindows:
         obj = json.loads(capsys.readouterr().out)
         assert obj["sums"] == [2.0, 2.0]
 
-    def test_csv_output(self, tmp_path):
+    def test_csv_suffix_writes_json(self, tmp_path):
+        # The windows document has one encoding, whatever the path's suffix.
         out = tmp_path / "w.csv"
         rc = main(
             ["windows", "-d", "1", "-W", "2", "-K", "3", "--pi0", "1 2 -2",
              "--out", str(out)]
         )
         assert rc == 0
-        assert out.read_text().splitlines()[0] == "k,S_k"
+        assert json.loads(out.read_text()) == {"W": 2, "K": 3, "sums": [3.0, 12.0, 48.0]}
+
+    def test_fewer_samples_than_initial_values(self, capsys):
+        # W * K = 2 samples take only y_0 and y_1 of the d = 3 point.
+        rc = main(["windows", "-d", "3", "-W", "1", "-K", "2", "--pi0", WITNESS_PI0])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["sums"] == [1.0, 1.0]
 
     def test_bad_pi0_length(self):
         assert main(["windows", "-d", "2", "-W", "2", "-K", "5", "--pi0", "1 2 3"]) == 2
@@ -223,8 +230,7 @@ class TestRejectedInput:
     @pytest.mark.parametrize(
         "argv",
         [
-            # W * K samples do not reach y_d.
-            ["windows", "-d", "3", "-W", "1", "-K", "1", "--pi0", WITNESS_PI0],
+            ["windows", "-d", "3", "-W", "0", "-K", "2", "--pi0", WITNESS_PI0],
             ["windows", "-W", "2", "-K", "2"],
             ["windows", "-W", "2", "-K", "2", "--pi0", "1 1 -1"],
         ],
@@ -233,6 +239,11 @@ class TestRejectedInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_no_windows(self, capsys):
+        # K = 0 is reported as such, not as a sequence too short for d.
+        assert main(["windows", "-d", "3", "-W", "1", "-K", "0", "--pi0", WITNESS_PI0]) == 2
+        assert capsys.readouterr().err == "error: W and K must be >= 1\n"
 
     def test_csv_windows_file(self, tmp_path, capsys):
         path = tmp_path / "w.csv"

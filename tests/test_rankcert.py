@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -231,6 +232,23 @@ class TestCertifyWitness:
         cert = certify_witness(WITNESS, WITNESS_D, WITNESS_W, PRIME)
         back = RankCertificate.from_dict(cert.to_dict())
         assert back == cert
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("nonzero", False), ("window_sums", "0"), ("exact", False)],
+        ids=["nonzero", "window_sum", "exact"],
+    )
+    def test_edited_claims_are_restated(self, key, value):
+        # Only the point, Jacobian and residue are decoded; re-encoding
+        # restates the derived claims, so an edited claim does not survive.
+        doc = certify_witness(WITNESS, WITNESS_D, WITNESS_W, PRIME).to_dict()
+        edited = json.loads(json.dumps(doc))
+        if key == "window_sums":
+            edited[key][3] = value
+        else:
+            edited[key] = value
+        assert edited != doc
+        assert RankCertificate.from_dict(edited).to_dict() == doc
 
 
 class TestSearchWitness:
