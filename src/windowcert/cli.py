@@ -30,16 +30,13 @@ from .synth import case_a_fixture, case_b_fixture, collision_pair
 
 log = logging.getLogger("windowcert")
 
-class CliError(Exception):
-    """Bad input or configuration; mapped to exit code 2."""
-
 
 def _write(text: str, out: str | None) -> None:
     if out:
         try:
             Path(out).write_text(text)
         except OSError as exc:
-            raise CliError(f"cannot write {out}: {exc}") from exc
+            raise ValueError(f"cannot write {out}: {exc}") from exc
         log.info("wrote %s", out)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -53,16 +50,12 @@ def _load_windows(path: str) -> WindowData:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    if path.endswith(".csv"):
-        raise CliError(
-            "CSV window input needs a block length; use the JSON format"
-        )
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return WindowData.from_dict(json.loads(text))
     except ValueError as exc:
         # json.JSONDecodeError is a ValueError.
-        raise CliError(f"malformed windows file {path}: {exc}") from exc
+        raise ValueError(f"malformed windows file {path}: {exc}") from exc
 
 
 def _parse_pi0(text: str, d: int) -> RationalParams:
@@ -70,9 +63,9 @@ def _parse_pi0(text: str, d: int) -> RationalParams:
     try:
         vals = [int(v) for v in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise CliError(f"--pi0 takes integers: {exc}") from exc
+        raise ValueError(f"--pi0 takes integers: {exc}") from exc
     if len(vals) != 2 * d + 1:
-        raise CliError(f"--pi0 needs {2 * d + 1} integers for d={d}")
+        raise ValueError(f"--pi0 needs {2 * d + 1} integers for d={d}")
     return RationalParams.from_vector(vals, d)
 
 
@@ -81,16 +74,16 @@ def cmd_windows(args) -> int:
         try:
             seq = [float(v) for v in Path(args.sequence_file).read_text().split()]
         except (OSError, ValueError) as exc:
-            raise CliError(f"malformed sequence file: {exc}") from exc
+            raise ValueError(f"malformed sequence file: {exc}") from exc
     elif args.pi0:
         if args.d is None:
-            raise CliError("--pi0 requires -d")
+            raise ValueError("--pi0 requires -d")
         # At least y_0..y_d, so that the recurrence is defined however few
         # samples the windows take; window_sums checks W and K.
         n_max = max(args.W * args.K - 1, args.d)
         seq = generate_sequence(_parse_pi0(args.pi0, args.d), n_max)
     else:
-        raise CliError("provide --pi0 or --sequence-file")
+        raise ValueError("provide --pi0 or --sequence-file")
     _emit_json(window_sums(seq, args.W, args.K).to_dict(), args.out)
     return 0
 
@@ -112,7 +105,7 @@ def cmd_witness(args) -> int:
         params = _parse_pi0(args.pi0, args.d)
         cert = certify_witness(params, args.d, args.W, args.prime)
     else:
-        raise CliError("provide --pi0 or --search")
+        raise ValueError("provide --pi0 or --search")
     _emit_json(cert.to_dict(), args.out)
     return 0 if cert.nonzero else 1
 
@@ -151,7 +144,7 @@ def cmd_synth(args) -> int:
             _write("\n".join(repr(v) for v in seq) + "\n", f"{out}.{name}.csv")
         sys.stdout.write(f"N={big_n}\n")
         return 0
-    raise CliError(f"unknown synth target {args.what!r}")
+    raise ValueError(f"unknown synth target {args.what!r}")
 
 
 @functools.cache
@@ -210,13 +203,13 @@ def main(argv=None) -> int:
     try:
         level = os.environ.get("WINDOWCERT_LOG", "WARNING").upper()
         if not isinstance(logging.getLevelName(level), int):
-            raise CliError(f"unknown WINDOWCERT_LOG level {level!r}")
+            raise ValueError(f"unknown WINDOWCERT_LOG level {level!r}")
         logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError) as exc:
-        # ValueError covers numpy.linalg.LinAlgError and the package's own
-        # argument checks.
+    except ValueError as exc:
+        # Bad input or configuration, from the CLI's own checks, the
+        # package's argument checks or numpy.linalg.LinAlgError.
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -30,13 +30,12 @@ def _is_int(v) -> bool:
 class RationalParams:
     """Parameter vector of a degree-<=d rational signal.
 
-    ``initial`` has length degree+1, ``recurrence`` has length degree
-    (trailing zeros allowed for lower effective degree).
+    ``recurrence`` (q_1..q_d) sets the degree d, ``initial`` has length d+1
+    (trailing zeros in ``recurrence`` allow a lower effective degree).
     """
 
     initial: tuple
     recurrence: tuple
-    degree: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "initial", tuple(self.initial))
@@ -48,18 +47,17 @@ class RationalParams:
                 f"initial must have length degree+1={self.degree + 1}, "
                 f"got {len(self.initial)}"
             )
-        if len(self.recurrence) != self.degree:
-            raise ValueError(
-                f"recurrence must have length degree={self.degree}, "
-                f"got {len(self.recurrence)}"
-            )
+
+    @property
+    def degree(self) -> int:
+        return len(self.recurrence)
 
     @classmethod
     def from_vector(cls, pi, degree: int) -> "RationalParams":
         pi = tuple(pi)
         if len(pi) != 2 * degree + 1:
             raise ValueError(f"parameter vector must have length {2 * degree + 1}")
-        return cls(pi[: degree + 1], pi[degree + 1 :], degree)
+        return cls(pi[: degree + 1], pi[degree + 1 :])
 
     def as_vector(self) -> tuple:
         return self.initial + self.recurrence
@@ -198,13 +196,6 @@ def exponential_sum(rates, weights, n_samples: int) -> np.ndarray:
     for a, w in zip(rates, weights):
         samples += w * a**n
     return samples
-
-
-def mixture_sequence(mix: ExponentialMixture, n_max: int) -> np.ndarray:
-    """Samples y_0..y_{n_max} of the exponential mixture."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return exponential_sum(mix.rates, mix.weights, n_max + 1)
 
 
 def mixture_window_params(mix: ExponentialMixture, W: int):

@@ -1,31 +1,45 @@
 """Reproducible synthetic datasets and the window-collision construction.
 
-The two case-study fixtures pair an exponential-mixture ground truth with a
-stored noisy observation vector.  Observed columns are literal constants: the
+The two case-study fixtures store an exponential-mixture ground truth and a
+noisy observation vector at a block length W; their order and true windows
+are derived from the mixture.  Observed columns are literal constants: the
 original noise draw is not reproducible from its seed alone, so regenerating
 them would silently drift.  Noise injected here uses NumPy's PCG64 generator
 with its standard normal transform and is deterministic per seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal import ExponentialMixture, WindowData, mixture_sequence, window_sums
+from .signal import ExponentialMixture, WindowData, exponential_sum, window_sums
 
 
 @dataclass(frozen=True)
 class CaseStudyFixture:
-    """A case-study dataset: mixture ground truth plus observed windows."""
+    """A case-study dataset: mixture ground truth plus observed windows.
 
-    label: str
-    d: int
+    Stored: ``W``, ``mixture`` and ``observed_windows``.  Derived: ``d``,
+    the mixture's mode count, and ``true_windows``, the mixture's W-block
+    sums over ``len(observed_windows)`` windows as Python floats.
+    """
+
     W: int
     mixture: ExponentialMixture
-    true_windows: tuple
     observed_windows: tuple
-    noise_level: float
+    true_windows: tuple = field(init=False)
+
+    def __post_init__(self) -> None:
+        K = len(self.observed_windows)
+        seq = exponential_sum(self.mixture.rates, self.mixture.weights, self.W * K)
+        object.__setattr__(
+            self, "true_windows", tuple(window_sums(seq, self.W, K).floats())
+        )
+
+    @property
+    def d(self) -> int:
+        return len(self.mixture.rates)
 
     def true(self) -> WindowData:
         return WindowData(self.true_windows, self.W, len(self.true_windows))
@@ -78,35 +92,15 @@ _CASE_B_OBSERVED = (
     0.060241,
 )
 
-def _true_windows(mix: ExponentialMixture, W: int, count: int) -> tuple:
-    seq = mixture_sequence(mix, W * count - 1)
-    return window_sums(seq, W, count).sums
-
 
 def case_a_fixture() -> CaseStudyFixture:
     """Multi-exponential decay: d=3, W=8, 12 windows, 1% noise."""
-    return CaseStudyFixture(
-        label="case-a",
-        d=3,
-        W=8,
-        mixture=_CASE_A_MIXTURE,
-        true_windows=_true_windows(_CASE_A_MIXTURE, 8, 12),
-        observed_windows=_CASE_A_OBSERVED,
-        noise_level=0.01,
-    )
+    return CaseStudyFixture(8, _CASE_A_MIXTURE, _CASE_A_OBSERVED)
 
 
 def case_b_fixture() -> CaseStudyFixture:
     """Two-segment response decay: d=2, W=6, 8 windows, 2% noise."""
-    return CaseStudyFixture(
-        label="case-b",
-        d=2,
-        W=6,
-        mixture=_CASE_B_MIXTURE,
-        true_windows=_true_windows(_CASE_B_MIXTURE, 6, 8),
-        observed_windows=_CASE_B_OBSERVED,
-        noise_level=0.02,
-    )
+    return CaseStudyFixture(6, _CASE_B_MIXTURE, _CASE_B_OBSERVED)
 
 
 def add_multiplicative_noise(S, level: float, seed: int) -> np.ndarray:
@@ -132,7 +126,7 @@ def collision_pair(base: ExponentialMixture, d: int, W: int, K: int):
     n_bumps = max(6, d + 2)
     big_n = W * (K + 1) - 1
     length = big_n + n_bumps * n_bumps + 1
-    y_in = [float(v) for v in mixture_sequence(base, length - 1)]
+    y_in = exponential_sum(base.rates, base.weights, length).tolist()
     y_out = list(y_in)
     for m in range(1, n_bumps + 1):
         idx = big_n + m * m

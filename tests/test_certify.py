@@ -85,7 +85,7 @@ def _exact_jacobian(rates, weights, W):
     poly = [Fraction(1)]
     for ai in a:
         poly = [c - ai * p for c, p in zip(poly + [0], [0] + poly)]
-    return jacobian(RationalParams(y, poly[1:], d), W)
+    return jacobian(RationalParams(y, poly[1:]), W)
 
 
 def _exact_inverse_norm(jac):

@@ -43,8 +43,9 @@ class TestWindows:
         obj = json.loads(capsys.readouterr().out)
         assert obj["sums"] == [2.0, 2.0]
 
-    def test_csv_suffix_writes_json(self, tmp_path):
-        # The windows document has one encoding, whatever the path's suffix.
+    def test_csv_suffix_writes_json(self, tmp_path, capsys):
+        # The windows document has one encoding, whatever the path's suffix,
+        # and certify reads it back from that path.
         out = tmp_path / "w.csv"
         rc = main(
             ["windows", "-d", "1", "-W", "2", "-K", "3", "--pi0", "1 2 -2",
@@ -52,6 +53,9 @@ class TestWindows:
         )
         assert rc == 0
         assert json.loads(out.read_text()) == {"W": 2, "K": 3, "sums": [3.0, 12.0, 48.0]}
+        assert main(["certify", str(out), "-d", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["decision"], report["W"], report["K"]) == ("nonzero", 2, 3)
 
     def test_fewer_samples_than_initial_values(self, capsys):
         # W * K = 2 samples take only y_0 and y_1 of the d = 3 point.
@@ -204,12 +208,21 @@ class TestCertify:
 class TestSynth:
     @pytest.mark.parametrize("label,rows", [("case-a", 12), ("case-b", 8)])
     def test_case_csv(self, tmp_path, label, rows):
+        from windowcert.synth import case_a_fixture, case_b_fixture
+
         out = tmp_path / "case.csv"
         rc = main(["synth", label, "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "k,true,observed"
         assert len(lines) == rows + 1
+        # Every field is decimal text, and the columns are the fixture's.
+        fixture = case_a_fixture() if label == "case-a" else case_b_fixture()
+        rows_read = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        k, true, observed = zip(*rows_read)
+        assert k == tuple(range(rows))
+        assert true == fixture.true_windows
+        assert observed == fixture.observed_windows
 
     def test_collision_files(self, tmp_path, capsys):
         out = tmp_path / "coll"
@@ -250,7 +263,11 @@ class TestRejectedInput:
         path.write_text("k,S_k\n0,2.0\n1,5.0\n")
         assert main(["certify", str(path), "-d", "1"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: CSV window input needs a block length; use the JSON format\n"
+        # The content, not the suffix, decides: this is not a windows document.
+        assert err == (
+            f"error: malformed windows file {path}: "
+            "Expecting value: line 1 column 1 (char 0)\n"
+        )
 
     @pytest.mark.parametrize("text", [None, "1.0 2.0 x 4.0"], ids=["missing", "non_numeric"])
     def test_bad_sequence_file(self, tmp_path, capsys, text):

@@ -289,11 +289,13 @@ def _list_hankel_coeffs(S, d):
     hankel = np.array([[s[i + j] for j in range(d)] for i in range(d)])
     lhs = np.array([[s[k + d - m] for m in range(1, d + 1)] for k in range(d)])
     rhs = -s[d : 2 * d]
-    sv = np.linalg.svd(hankel, compute_uv=False)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+    # Python floats, as in the module: a quotient beyond the float range is
+    # inf without a numpy overflow warning.
+    top, low = np.linalg.svd(hankel, compute_uv=False)[[0, -1]].tolist()
+    condition = top / low if low > 0.0 else float("inf")
     flags = set()
     try:
-        if sv[0] == 0.0 or sv[-1] <= SINGULAR_RATIO * sv[0]:
+        if top == 0.0 or low <= SINGULAR_RATIO * top:
             raise np.linalg.LinAlgError
         coeffs = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
@@ -475,6 +477,7 @@ class TestBitIdentity:
     @example((2, [0.0, 0.0, 5e-324, 0.0]))  # singular below a subnormal top
     @example((1, [5e-324, 1e3]))  # the solve overflows
     @example((2, [1e-320, 5e-321, 2.5e-321, 1.25e-321]))  # rank one, subnormal top
+    @example((2, [1e3, 0.0, 5e-324, 0.0]))  # the condition number overflows
     def test_recurrence_coeffs_match_list_hankel(self, case):
         d, sums = case
         assert _exact(solve_recurrence_coeffs, sums, d) == _exact(

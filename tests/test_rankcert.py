@@ -48,7 +48,7 @@ class TestJacobian:
     def test_degree_one_single_block(self):
         # d=1, W=1: windows are (y_0, y_1, y_2) with y_2 = -q_1 y_1, so the
         # Jacobian rows are e_1, e_2, and (0, -q_1, -y_1).
-        p = RationalParams((3, 4), (5,), 1)
+        p = RationalParams((3, 4), (5,))
         assert jacobian(p, 1) == [[1, 0, 0], [0, 1, 0], [0, -5, -4]]
 
     def test_full_witness_matrix(self):
@@ -116,7 +116,7 @@ def decaying_float_points(draw):
     rates = draw(st.lists(rate, min_size=d, max_size=d))
     initial = draw(st.lists(st.floats(-10.0, 10.0), min_size=d + 1, max_size=d + 1))
     recurrence = tuple(float(c) for c in np.poly(rates)[1:])
-    return RationalParams(tuple(initial), recurrence, d)
+    return RationalParams(tuple(initial), recurrence)
 
 
 blocks = st.integers(1, 12)
@@ -125,8 +125,8 @@ blocks = st.integers(1, 12)
 class TestAssemblyProperties:
     @settings(max_examples=150, deadline=None)
     @given(integer_points(), blocks)
-    @example(RationalParams((0, 0, 0), (3, -2), 2), 5)  # all-zero initial values
-    @example(RationalParams((1, -2, 4), (3, 0), 2), 4)  # q_d = 0
+    @example(RationalParams((0, 0, 0), (3, -2)), 5)  # all-zero initial values
+    @example(RationalParams((1, -2, 4), (3, 0)), 4)  # q_d = 0
     def test_exact_matches_propagation(self, params, W):
         assert jacobian(params, W) == _propagated_jacobian(params, W)
 
@@ -210,12 +210,12 @@ class TestCertifyWitness:
 
     def test_degree_one_explicit(self):
         # d=1, W=1, pi=(1,1,-2): jacobian [[1,0,0],[0,1,0],[0,2,-1]], det -1.
-        cert = certify_witness(RationalParams((1, 1), (-2,), 1), 1, 1, PRIME)
+        cert = certify_witness(RationalParams((1, 1), (-2,)), 1, 1, PRIME)
         assert cert.nonzero
         assert cert.det_residue == PRIME - 1
 
     def test_zero_recurrence_is_singular(self):
-        cert = certify_witness(RationalParams((1, 1), (0,), 1), 1, 2, PRIME)
+        cert = certify_witness(RationalParams((1, 1), (0,)), 1, 2, PRIME)
         assert not cert.nonzero
         assert cert.det_residue == 0
 
@@ -224,7 +224,7 @@ class TestCertifyWitness:
         with pytest.raises(ValueError, match="degree"):
             certify_witness(WITNESS, 2, WITNESS_W, PRIME)
         with pytest.raises(ValueError, match="integer"):
-            certify_witness(RationalParams((1.0, 2.0), (0.5,), 1), 1, 2, PRIME)
+            certify_witness(RationalParams((1.0, 2.0), (0.5,)), 1, 2, PRIME)
         with pytest.raises(ValueError, match="not prime"):
             certify_witness(WITNESS, WITNESS_D, WITNESS_W, 10)
 

@@ -7,8 +7,8 @@ from windowcert.signal import (
     ExponentialMixture,
     RationalParams,
     WindowData,
+    exponential_sum,
     generate_sequence,
-    mixture_sequence,
     mixture_window_params,
     window_sums,
 )
@@ -29,20 +29,20 @@ class TestRationalParams:
         assert p.recurrence == (2, 2, -2)
 
     def test_is_integer(self):
-        assert RationalParams((1, 2), (3,), 1).is_integer
-        assert not RationalParams((1.0, 2), (3,), 1).is_integer
+        assert RationalParams((1, 2), (3,)).is_integer
+        assert not RationalParams((1.0, 2), (3,)).is_integer
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            RationalParams((1,), (2,), 1)
+            RationalParams((1,), (2,))
         with pytest.raises(ValueError):
-            RationalParams((1, 2), (3, 4), 1)
+            RationalParams((1, 2), (3, 4))
         with pytest.raises(ValueError):
             RationalParams.from_vector((1, 2), 1)
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
-            RationalParams((1,), (), 0)
+            RationalParams((1,), ())
 
 
 class TestGenerateSequence:
@@ -56,7 +56,7 @@ class TestGenerateSequence:
 
     def test_geometric_degree_one(self):
         # y_n = -(q_1 y_{n-1}) with q_1 = -2 doubles each step.
-        p = RationalParams((1, 2), (-2,), 1)
+        p = RationalParams((1, 2), (-2,))
         assert generate_sequence(p, 6) == [1, 2, 4, 8, 16, 32, 64]
 
     def test_integer_exactness(self):
@@ -65,7 +65,7 @@ class TestGenerateSequence:
         assert all(isinstance(v, int) for v in seq)
 
     def test_short_horizon_rejected(self):
-        p = RationalParams((1, 2), (-2,), 1)
+        p = RationalParams((1, 2), (-2,))
         with pytest.raises(ValueError):
             generate_sequence(p, 0)
 
@@ -140,7 +140,9 @@ class TestExponentialMixture:
     def test_sequence_values(self):
         mix = ExponentialMixture((0.5,), (3.0,))
         np.testing.assert_allclose(
-            mixture_sequence(mix, 3), [3.0, 1.5, 0.75, 0.375], rtol=1e-15
+            exponential_sum(mix.rates, mix.weights, 4),
+            [3.0, 1.5, 0.75, 0.375],
+            rtol=1e-15,
         )
 
     def test_window_params_example(self):
@@ -154,7 +156,7 @@ class TestExponentialMixture:
         # Window sums of the mixture samples must equal sum_i B_i mu_i^k.
         mix = ExponentialMixture((0.7, 0.3, 0.55), (1.0, 2.0, 0.5))
         W, K = 5, 6
-        seq = mixture_sequence(mix, W * K - 1)
+        seq = exponential_sum(mix.rates, mix.weights, W * K)
         data = window_sums(seq, W, K)
         nodes, amps = mixture_window_params(mix, W)
         predicted = [

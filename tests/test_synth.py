@@ -35,7 +35,6 @@ class TestCaseFixtures:
         fixture = case_a_fixture()
         assert fixture.d == 3 and fixture.W == 8
         assert len(fixture.true_windows) == len(fixture.observed_windows) == 12
-        assert fixture.noise_level == 0.01
 
     def test_case_b_true_within_noise_band(self):
         # The observed windows are a 2% multiplicative draw off the truth, so
