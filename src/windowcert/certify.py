@@ -1,13 +1,17 @@
 """Decision layer: the end-to-end pipeline and its noise bound.
 
-The pipeline takes K window sums, recovers an exponential-sum model
-(reconstruction step), rebuilds the positive sample configuration over the
-observed horizon, projects its log to mean zero, and weighs the summed
-reciprocal cost (``cost.certificate_value``) against ``eps_bound``, the
-threshold set by the declared noise and the Lipschitz estimate of the
-reconstruction.  Outcomes are ternary: ``nonzero`` (no constant is within the
-noise of the windows), ``zero`` (certified neutral), or ``inconclusive``
-(degenerate or unresolvable data); ``pipeline`` states the rule.
+The pipeline takes K window sums and first measures their half-range, the
+sup-norm distance to the constant ray.  Farther than the declared noise, no
+constant is consistent with the data and the verdict is ``nonzero``, backed
+by the pair of windows that spans it.  Within the noise, the decision needs
+the model: the reconstruction step recovers an exponential sum, the pipeline
+rebuilds the positive sample configuration over the observed horizon,
+projects its log to mean zero, and weighs the summed reciprocal cost
+(``cost.certificate_value``) against ``eps_bound``, the threshold set by the
+declared noise and the Lipschitz estimate of the reconstruction.  Outcomes
+are ternary: ``nonzero``, ``zero`` (certified neutral), or ``inconclusive``
+(degenerate or unresolvable data near the constants); ``pipeline`` states
+the rule.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,11 +48,24 @@ EPS0 = 1e-2
 CERTIFICATE_FLOOR = 1e-24
 
 
+class NonzeroWitness(NamedTuple):
+    """The windows that decide a nonzero verdict: S[k_max] - S[k_min] > 2 eps,
+    so no constant is within eps of both.  ``margin`` is
+    (S[k_max] - S[k_min]) / 2 - eps in floats, for display; the pair is the
+    certificate, checked by one exact subtraction."""
+
+    k_max: int
+    k_min: int
+    margin: float
+
+
 @dataclass(frozen=True)
 class CertReport:
-    """Decision plus the quantitative bounds backing it, and the inputs of
-    the threshold: declared noise, block length W and window count K (eps0
-    is ``EPS0``).  An inconclusive report leaves the bounds None."""
+    """Decision plus the evidence backing it, and the inputs of the
+    threshold: declared noise, block length W and window count K (eps0 is
+    ``EPS0``).  A nonzero report carries its window pair and leaves the
+    bounds None; an inconclusive one leaves them None unless the bound
+    decided it."""
 
     decision: Decision
     reconstruction: Optional[PronyModel]
@@ -60,6 +77,7 @@ class CertReport:
     defect_estimate: Optional[float] = None
     threshold: Optional[float] = None
     lipschitz_estimate: Optional[float] = None
+    nonzero_witness: Optional[NonzeroWitness] = None
 
     def to_dict(self) -> dict:
         """The report document: non-finite values are None (JSON null), and
@@ -77,6 +95,9 @@ class CertReport:
             "W": self.W,
             "K": self.K,
             "flags": sorted(self.flags),
+            "nonzero_witness": self.nonzero_witness._asdict()
+            if self.nonzero_witness is not None
+            else None,
             "model": self.reconstruction.to_dict()
             if self.reconstruction is not None
             else None,
@@ -209,17 +230,26 @@ def _samples_from_model(model: PronyModel, W: int, n_samples: int):
 def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     """End-to-end certification of K window sums at declared noise level.
 
-    Reconstruction failures (degenerate Prony step, non-positive sample
-    values, singular conditioning) yield ``inconclusive`` with flags; they
-    never escape as exceptions.  Past them one rule decides, on the
-    half-range (max S - min S) / 2, the sup-norm distance from the sums to
-    the constant ray c * (1, ..., 1):
+    One rule decides, in this order, on the half-range (max S - min S) / 2,
+    the sup-norm distance from the sums to the constant ray c * (1, ..., 1):
 
     - ``nonzero`` iff the half-range exceeds ``noise_eps``: no constant is
-      within the noise, so this is sound for every class with the constants;
-    - ``zero`` iff a constant is within the noise and the certificate is at
-      most ``max(eps_bound(L, K, eps0, noise_eps), CERTIFICATE_FLOOR)``;
+      within the noise, so this is sound for every class with the constants.
+      It rests on the sums alone, so no model flag can veto it, and its
+      certificate is the window pair of ``NonzeroWitness``.  The distance
+      does not depend on sign: finite sums are never malformed, and sums no
+      positive signal produces, such as (1, -0.5, 0.25, -0.125), read
+      nonzero when they are far from every constant;
+    - within the noise, reconstruction failures (degenerate Prony step,
+      non-positive sample values, singular conditioning) yield
+      ``inconclusive`` with flags; they never escape as exceptions;
+    - ``zero`` iff the certificate is at most
+      ``max(eps_bound(L, K, eps0, noise_eps), CERTIFICATE_FLOOR)``;
     - ``inconclusive`` with ``bound_exceeded`` otherwise.
+
+    Every report carries the Prony model, whose own flags stay in it for
+    observability; a nonzero report leaves the certificate, defect,
+    threshold and L None, since its verdict reads none of them.
 
     At ``noise_eps`` > 0 zero does not say the signal is constant: a
     constant plus a mode whose window sums stay within the noise gives the
@@ -238,6 +268,15 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
 
     model = prony_reconstruct(sums, d)
     report = partial(CertReport, reconstruction=model, noise_eps=noise_eps, W=W, K=K)
+    # Rounding is monotone and 2 eps exact, so an exact half-range <= eps
+    # never reads as nonzero; Python floats turn extreme sums into inf quietly.
+    top, bottom = max(sums), min(sums)
+    if top - bottom > 2.0 * noise_eps:
+        # Halving first keeps the margin finite for sums of opposite sign
+        # near the float range.
+        margin = top / 2.0 - bottom / 2.0 - noise_eps
+        witness = NonzeroWitness(sums.index(top), sums.index(bottom), margin)
+        return report(Decision.NONZERO, nonzero_witness=witness)
     if model.degenerate:
         return report(Decision.INCONCLUSIVE, flags=model.flags)
     # Growing modes overflow the powers to inf (and inf * 0 to NaN); the
@@ -256,12 +295,7 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     u = project_mean_zero(np.log(samples))
     value = certificate_value(u)
     defect_estimate = math.sqrt(u.dot(u))  # np.linalg.norm of a real vector
-
-    # Rounding is monotone and 2 eps exact, so an exact half-range <= eps
-    # never reads as nonzero; Python floats turn extreme sums into inf quietly.
-    if max(sums) - min(sums) > 2.0 * noise_eps:
-        decision, flags = Decision.NONZERO, frozenset()
-    elif value <= max(threshold, CERTIFICATE_FLOOR):
+    if value <= max(threshold, CERTIFICATE_FLOOR):
         decision, flags = Decision.ZERO, frozenset()
     else:
         decision, flags = Decision.INCONCLUSIVE, frozenset({BOUND_EXCEEDED})

@@ -181,17 +181,27 @@ class RankCertificate:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RankCertificate":
-        """Decode the measured fields; ``d`` is read from the length of
-        ``pi0``, and the derived claims are not read, so re-encoding
-        restates them from the point, Jacobian and residue."""
+        """Check and decode the measured fields; ``d`` is read from the
+        length of ``pi0``, and the derived claims are not read, so
+        re-encoding restates them from the point, Jacobian and residue.
+
+        Raises ValueError unless W >= 1, p is prime, the Jacobian is
+        (2d+1) x (2d+1) and the residue lies in [0, p).
+        """
         pi0 = [int(v) for v in obj["pi0"]]
-        return cls(
-            params=RationalParams.from_vector(pi0, len(pi0) // 2),
-            W=int(obj["W"]),
-            prime=int(obj["p"]),
-            jacobian=tuple(tuple(int(v) for v in row) for row in obj["jacobian"]),
-            det_residue=int(obj["det_mod_p"]),
-        )
+        params = RationalParams.from_vector(pi0, len(pi0) // 2)
+        W, p, residue = int(obj["W"]), int(obj["p"]), int(obj["det_mod_p"])
+        jac = tuple(tuple(int(v) for v in row) for row in obj["jacobian"])
+        n = 2 * params.degree + 1
+        if W < 1:
+            raise ValueError(f"W must be >= 1, got {W}")
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        if len(jac) != n or any(len(row) != n for row in jac):
+            raise ValueError(f"jacobian must be {n} x {n} for d = {params.degree}")
+        if not 0 <= residue < p:
+            raise ValueError(f"det_mod_p={residue} is outside [0, {p})")
+        return cls(params=params, W=W, prime=p, jacobian=jac, det_residue=residue)
 
 
 def certify_witness(params: RationalParams, d: int, W: int, p: int) -> RankCertificate:

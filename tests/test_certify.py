@@ -237,24 +237,51 @@ class TestPipeline:
         assert report.decision is Decision.ZERO
 
     def test_case_a_true_is_nonzero(self):
+        # Decided by the window pair alone: the bounds stay unset, the model
+        # is still reported.
         fixture = case_a_fixture()
+        sums = fixture.true_windows
         report = pipeline(fixture.true(), fixture.d)
         assert report.decision is Decision.NONZERO
-        assert report.certificate_value > 100.0
-        assert report.threshold == 0.0
+        k_max, k_min, margin = report.nonzero_witness
+        assert (sums[k_max], sums[k_min]) == (max(sums), min(sums))
+        assert margin == pytest.approx((max(sums) - min(sums)) / 2)
+        assert report.certificate_value is report.threshold is report.lipschitz_estimate is None
+        assert report.reconstruction.flags == frozenset()
+        assert report.flags == frozenset()
 
     def test_degenerate_is_inconclusive(self):
-        data = WindowData((1.0, 2.0, 4.0, 8.0), 2, 4)
-        report = pipeline(data, 2)
+        # A geometric sequence within the noise of a constant: rank one, so
+        # the d = 2 Hankel solve is singular and no model decides.
+        data = WindowData((1e-3, 2e-3, 4e-3, 8e-3), 2, 4)
+        report = pipeline(data, 2, noise_eps=1e-2)
         assert report.decision is Decision.INCONCLUSIVE
-        assert report.flags
+        assert report.flags == {HANKEL_SINGULAR}
 
     def test_alternating_sign_is_inconclusive(self):
-        # Node at -0.5 admits no positive sample realization.
-        data = WindowData((1.0, -0.5, 0.25, -0.125), 3, 4)
-        report = pipeline(data, 1)
+        # Within the noise of a constant; the node at -0.5 admits no positive
+        # sample realization.
+        data = WindowData((1e-3, -5e-4, 2.5e-4, -1.25e-4), 3, 4)
+        report = pipeline(data, 1, noise_eps=1e-3)
         assert report.decision is Decision.INCONCLUSIVE
-        assert POSITIVITY in report.flags
+        assert report.flags == {POSITIVITY}
+
+    def test_negative_constant_is_positivity(self):
+        # Finite sums are never malformed.  Sums no positive signal produces
+        # are tested as any others: these are within the noise of a
+        # (negative) constant, so the model decides, and it has no positive
+        # realization.
+        report = pipeline(WindowData((-1.0,) * 4, 2, 4), 1)
+        assert report.decision is Decision.INCONCLUSIVE
+        assert report.flags == {POSITIVITY}
+
+    def test_far_alternating_sign_is_nonzero(self):
+        # The distance to the constant ray does not depend on sign: no
+        # constant is within the noise, whatever the model says.
+        report = pipeline(WindowData((1.0, -0.5, 0.25, -0.125), 3, 4), 1)
+        assert report.decision is Decision.NONZERO
+        assert report.nonzero_witness == (0, 1, 0.75)
+        assert report.reconstruction.nodes == pytest.approx((-0.5,))
 
     def test_constant_above_bound_is_inconclusive(self):
         # Windows within the noise of a constant whose reconstruction's
@@ -334,9 +361,10 @@ class TestPipeline:
 # overflow the rebuild, a Hankel solve that overflows (a) or meets an exactly
 # singular matrix below a subnormal top singular value (b), amplitudes of
 # +-inf, and exactly repeated zero nodes below a subnormal top node.  Each is
-# (sums, W, d, flags).
-GROWING_SINGULAR = ((1.0, 1e200), 1, 1, [LIPSCHITZ_SINGULAR])
-GROWING_POSITIVITY = ((1.0, 1e200, 1.0), 1, 1, [POSITIVITY])
+# (sums, W, d, flags of the Prony model).  All are far from the constants,
+# so they read nonzero at zero noise, whatever the model.
+GROWING_SINGULAR = ((1.0, 1e200), 1, 1, [])
+GROWING_POSITIVITY = ((1.0, 1e200, 1.0), 1, 1, [])
 HANKEL_OVERFLOW = (
     (-0.16431869826172885, 0.6909839628791838, 0.21485982218963584, 8.661289764946615,
      8.864024957287183, -1.7e308, -4.738480415883655e-148, 8.612845879002471,
@@ -370,6 +398,15 @@ def hostile_case(case):
     return WindowData(sums, W, len(sums)), d, 0.0
 
 
+# Growing modes within the noise of a constant, where the model decides:
+# (windows, d, noise, pipeline flags).  A node of 1e295 overflows the W K
+# rebuilt samples; one of 1e155 leaves the K = 2 samples finite but
+# overflows the (2d+1) W powers of the Jacobian.
+NEAR_GROWING_POSITIVITY = (WindowData((1e-300, 1e-5, 1e-5), 2, 3), 1, 1e-5, [POSITIVITY])
+NEAR_GROWING_SINGULAR = (WindowData((1e-160, 1e-5), 1, 2), 1, 1e-5, [LIPSCHITZ_SINGULAR])
+NEAR_HOSTILE = (NEAR_GROWING_POSITIVITY, NEAR_GROWING_SINGULAR)
+
+
 @st.composite
 def hostile_windows(draw):
     """(windows, d, noise): d <= 3, 2d <= K <= 12, W <= 8 and any finite sums."""
@@ -384,9 +421,43 @@ def hostile_windows(draw):
 class TestHostileSums:
     @pytest.mark.parametrize("case", HOSTILE)
     def test_flag(self, case):
+        # The Prony flags stay on the model; none vetoes the verdict.
         report = pipeline(*hostile_case(case))
+        assert report.decision is Decision.NONZERO
+        assert sorted(report.reconstruction.flags) == case[-1]
+        assert report.flags == frozenset()
+
+    @pytest.mark.parametrize("case", NEAR_HOSTILE, ids=["positivity", "lipschitz_singular"])
+    def test_flag_near_constants(self, case):
+        w, d, noise, flags = case
+        report = pipeline(w, d, noise_eps=noise)
         assert report.decision is Decision.INCONCLUSIVE
-        assert sorted(report.flags) == case[-1]
+        assert sorted(report.flags) == flags
+        assert report.reconstruction.flags == frozenset()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(constant_windows(), hostile_windows()))
+    @example(NEAR_CONSTANT)
+    @example(hostile_case(INFINITE_AMPLITUDES))
+    @example((WindowData((2e-6, -1e-30, 0.0, 1e-6), 2, 4), 1, 1e-6))  # a rounding tie
+    def test_nonzero_iff_beyond_noise_with_exact_witness(self, case):
+        # In Fractions: every nonzero report's window pair spans more than
+        # 2 eps, and data whose half-range exceeds eps are nonzero whatever
+        # the model's flags.  The float difference may round onto 2 eps
+        # exactly; such a tie reads as within the noise.
+        w, d, noise = case
+        report = pipeline(w, d, noise_eps=noise)
+        exact = [Fraction(s) for s in w.sums]
+        witness = report.nonzero_witness
+        if report.decision is Decision.NONZERO:
+            k_max, k_min, _ = witness
+            assert exact[k_max] - exact[k_min] > 2 * Fraction(noise)
+            assert (exact[k_max], exact[k_min]) == (max(exact), min(exact))
+        else:
+            assert witness is None
+        if max(exact) - min(exact) > 2 * Fraction(noise):
+            if max(w.sums) - min(w.sums) != 2 * noise:
+                assert report.decision is Decision.NONZERO
 
     @settings(max_examples=300, deadline=None)
     @given(hostile_windows())
@@ -396,6 +467,8 @@ class TestHostileSums:
     @example(hostile_case(HANKEL_SUBNORMAL))
     @example(hostile_case(INFINITE_AMPLITUDES))
     @example(hostile_case(REPEATED_ZERO_NODES))
+    @example(NEAR_GROWING_POSITIVITY[:3])
+    @example(NEAR_GROWING_SINGULAR[:3])
     def test_pipeline_reports_strict_json(self, case):
         # Finite sums always give a report: no exception, no warning, and a
         # document with non-finite values written as null.

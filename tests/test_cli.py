@@ -13,7 +13,7 @@ from reference_data import (
     WITNESS_DET_RESIDUE,
     WITNESS_WINDOW_SUMS,
 )
-from test_certify import HOSTILE, INFINITE_AMPLITUDES, NEAR_CONSTANT
+from test_certify import HOSTILE, INFINITE_AMPLITUDES, NEAR_CONSTANT, NEAR_HOSTILE
 
 WITNESS_PI0 = "1 1 5 1 2 2 -2"
 
@@ -189,8 +189,10 @@ class TestCertify:
         assert json.loads(out.read_text())["decision"] == "nonzero"
 
     def test_degenerate_inconclusive_exit(self, tmp_path):
-        path = write_windows(tmp_path / "w.json", [1.0, 2.0, 4.0, 8.0], 2)
-        rc = main(["certify", path, "-d", "2", "--out", str(tmp_path / "r.json")])
+        # Within the noise of a constant, so the singular Hankel solve decides.
+        path = write_windows(tmp_path / "w.json", [1e-3, 2e-3, 4e-3, 8e-3], 2)
+        rc = main(["certify", path, "-d", "2", "--noise-eps", "1e-2",
+                   "--out", str(tmp_path / "r.json")])
         assert rc == 3
 
     def test_noise_beyond_regime(self, tmp_path):
@@ -414,12 +416,10 @@ def _strict_json(text):
 
 class TestStrictJson:
     def test_vacuous_bound_is_null(self, tmp_path):
-        from windowcert.synth import case_a_fixture
-
-        fixture = case_a_fixture()
-        path = write_windows(tmp_path / "w.json", fixture.true_windows, fixture.W)
+        # Within the noise of a constant at d = 2, where L is about 1e10.
+        path = write_windows(tmp_path / "w.json", [8.0, 8.001, 8.0005, 8.0], 2)
         out = tmp_path / "r.json"
-        main(["certify", path, "-d", "3", "--noise-eps", "1e-6", "--out", str(out)])
+        main(["certify", path, "-d", "2", "--noise-eps", "1e-3", "--out", str(out)])
         obj = _strict_json(out.read_text())
         assert obj["threshold"] is None
         assert obj["bound_vacuous"] is True
@@ -431,16 +431,30 @@ class TestStrictJson:
         obj = _strict_json(out.read_text())
         assert obj["vandermonde_condition"] is None
         report = tmp_path / "r.json"
-        assert main(["certify", path, "-d", "2", "--out", str(report)]) == 3
+        # Far from the constants: nonzero, with the flagged model reported.
+        assert main(["certify", path, "-d", "2", "--out", str(report)]) == 1
         obj = _strict_json(report.read_text())
         assert obj["model"]["vandermonde_condition"] is None
+        assert obj["model"]["flags"] == ["hankel_singular"]
         assert obj["bound_vacuous"] is False
 
     @pytest.mark.parametrize("case", HOSTILE)
     def test_hostile_sums_are_flagged(self, tmp_path, capsys, case):
+        # The flags are the model's: far from the constants, none of them
+        # vetoes the nonzero verdict.
         sums, W, d, flags = case
         path = write_windows(tmp_path / "w.json", sums, W)
-        assert main(["certify", path, "-d", str(d)]) == 3
+        assert main(["certify", path, "-d", str(d)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        obj = _strict_json(captured.out)
+        assert (obj["decision"], obj["flags"], obj["model"]["flags"]) == ("nonzero", [], flags)
+
+    @pytest.mark.parametrize("case", NEAR_HOSTILE, ids=["positivity", "lipschitz_singular"])
+    def test_near_constant_hostile_sums_are_flagged(self, tmp_path, capsys, case):
+        w, d, noise, flags = case
+        path = write_windows(tmp_path / "w.json", w.sums, w.block_length)
+        assert main(["certify", path, "-d", str(d), "--noise-eps", repr(noise)]) == 3
         captured = capsys.readouterr()
         assert captured.err == ""
         obj = _strict_json(captured.out)
@@ -448,10 +462,10 @@ class TestStrictJson:
 
     def test_infinite_amplitudes_are_null(self, tmp_path, capsys):
         # The Prony step flags the overflowed amplitudes, so reconstruct
-        # exits 1 and certify 3.
+        # exits 1; certify reports that model beside its nonzero verdict.
         sums, W, d, _ = INFINITE_AMPLITUDES
         path = write_windows(tmp_path / "w.json", sums, W)
-        for command, code in (("certify", 3), ("reconstruct", 1)):
+        for command, code in (("certify", 1), ("reconstruct", 1)):
             assert main([command, path, "-d", str(d)]) == code
             captured = capsys.readouterr()
             assert captured.err == ""
@@ -482,6 +496,16 @@ def _float_or_null(v):
 
 def _list_of(check):
     return lambda v: isinstance(v, list) and all(check(x) for x in v)
+
+
+def _witness_or_null(v):
+    return v is None or (
+        isinstance(v, dict)
+        and list(v) == ["k_max", "k_min", "margin"]
+        and _is_int(v["k_max"])
+        and _is_int(v["k_min"])
+        and isinstance(v["margin"], float)
+    )
 
 
 def _real_or_complex(v):
@@ -531,6 +555,7 @@ DOCUMENT_SHAPES = {
         "W": lambda v: _is_int(v) and v >= 1,
         "K": lambda v: _is_int(v) and v >= 1,
         "flags": _list_of(lambda v: isinstance(v, str)),
+        "nonzero_witness": _witness_or_null,
         "model": lambda v: _has_shape(v, MODEL_SHAPE),
     },
 }
@@ -554,15 +579,17 @@ def _has_shape(obj, shape):
         ["reconstruct", "{degenerate}", "-d", "2"],
         ["certify", "{windows}", "-d", "2"],
         ["certify", "{degenerate}", "-d", "2"],
+        ["certify", "{constant}", "-d", "1"],
     ],
     ids=["windows", "witness", "search", "reconstruct", "reconstruct_degenerate",
-         "certify", "certify_degenerate"],
+         "certify", "certify_degenerate", "certify_zero"],
 )
 def test_document_shape(tmp_path, capsys, argv):
     # The key set and value types of each document that the CLI writes.
     paths = {
         "windows": write_windows(tmp_path / "w.json", [2.0, 5.0, 13.0, 35.0], 2),
         "degenerate": write_windows(tmp_path / "g.json", [1.0, 2.0, 4.0, 8.0], 2),
+        "constant": write_windows(tmp_path / "c.json", [8.0] * 7, 8),
     }
     main([arg.format(**paths) for arg in argv])
     obj = _strict_json(capsys.readouterr().out)
@@ -598,8 +625,9 @@ def test_roundtrip_windows_to_certify(tmp_path):
 
 def test_certify_threshold_recomputes_from_document(tmp_path, capsys):
     # The report carries every input of its threshold besides L.
-    path = write_windows(tmp_path / "w.json", [2.0, 5.0, 13.0, 35.0], 2)
-    assert main(["certify", path, "-d", "2", "--noise-eps", "1e-3"]) == 1
+    path = write_windows(tmp_path / "w.json", [8.0, 8.001, 8.0, 8.0005], 2)
+    assert main(["certify", path, "-d", "1", "--noise-eps", "1e-3"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert (obj["W"], obj["K"], obj["noise_eps"]) == (2, 4, 1e-3)
+    assert 0.0 < obj["threshold"] < math.inf
     assert obj["threshold"] == eps_bound(obj["L"], obj["K"], obj["eps0"], obj["noise_eps"])

@@ -250,6 +250,27 @@ class TestCertifyWitness:
         assert edited != doc
         assert RankCertificate.from_dict(edited).to_dict() == doc
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"W": 0}, "W must be >= 1"),
+            ({"p": 4}, "not prime"),
+            ({"jacobian": [[1]]}, "jacobian must be 7 x 7"),
+            ({"jacobian": [["1"] * 7] * 6 + [["1"] * 6]}, "jacobian must be 7 x 7"),
+            ({"det_mod_p": PRIME}, "outside"),
+            ({"det_mod_p": -1}, "outside"),
+            ({"W": 0, "p": 4, "jacobian": [[1]], "det_mod_p": 7}, "W must be >= 1"),
+        ],
+        ids=["W", "prime", "jacobian_rows", "jacobian_columns", "residue_high",
+             "residue_negative", "all_wrong"],
+    )
+    def test_invalid_document_rejected(self, edit, message):
+        # A certificate document is outside input: decoding checks what the
+        # derived claims rest on, so no edited field is restated as valid.
+        doc = {**certify_witness(WITNESS, WITNESS_D, WITNESS_W, PRIME).to_dict(), **edit}
+        with pytest.raises(ValueError, match=message):
+            RankCertificate.from_dict(doc)
+
 
 class TestSearchWitness:
     def test_finds_witness_deterministically(self):
