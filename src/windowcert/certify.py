@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -52,7 +53,9 @@ class NonzeroWitness(NamedTuple):
     """The windows that decide a nonzero verdict: S[k_max] - S[k_min] > 2 eps,
     so no constant is within eps of both.  ``margin`` is
     (S[k_max] - S[k_min]) / 2 - eps in floats, for display; the pair is the
-    certificate, checked by one exact subtraction."""
+    certificate, checked by one exact subtraction.  On a rounding tie, where
+    the float difference equals 2 eps and the exact one exceeds it, the
+    margin can read 0.0."""
 
     k_max: int
     k_min: int
@@ -190,7 +193,13 @@ def _modal_jacobian(rates, weights, W: int) -> np.ndarray:
 
 
 def decide_certificate(u, threshold: float) -> Decision:
-    """Two-valued coercive decision on a projected log-vector."""
+    """Two-valued coercive decision on a projected log-vector: zero iff the
+    certificate is at most the threshold, else nonzero.
+
+    ``pipeline`` does not apply its nonzero branch: there a certificate above
+    the bound gives inconclusive ``bound_exceeded``, and nonzero comes only
+    from the window pair.  Its callers are acceptance criterion 8's
+    translation-invariance probe and ``TestDecideCertificate``."""
     if threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
     value = certificate_value(u)
@@ -235,6 +244,9 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
 
     - ``nonzero`` iff the half-range exceeds ``noise_eps``: no constant is
       within the noise, so this is sound for every class with the constants.
+      The test is in floats, and exact on a rounding tie: when
+      max S - min S equals 2 ``noise_eps`` in floats, the stored sums decide
+      in Fractions.
       It rests on the sums alone, so no model flag can veto it, and its
       certificate is the window pair of ``NonzeroWitness``.  The distance
       does not depend on sign: finite sums are never malformed, and sums no
@@ -253,9 +265,14 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
 
     At ``noise_eps`` > 0 zero does not say the signal is constant: a
     constant plus a mode whose window sums stay within the noise gives the
-    same data.  It says that every positive signal of order at most d whose
-    window sums are within ``noise_eps`` of the data has certificate at most
-    the threshold (or ``CERTIFICATE_FLOOR``, if larger).
+    same data.  It says that every signal y_n = sum_i w_i a_i^n of order at
+    most d with real rates a_i > 0 whose window sums are within
+    ``noise_eps`` of the data has certificate at most the threshold (or
+    ``CERTIFICATE_FLOOR``, if larger).  That is the class
+    ``_samples_from_model`` realizes, with a = mu^(1/W).  Negative or
+    complex rates lie outside it: at even W, y_n = c (1 + b (-1)^n) has
+    exactly constant windows, and its certificate grows without bound as
+    b -> 1, so no finite threshold covers it.
 
     Invalid input raises ValueError: noise outside [0, eps0], a sum beyond
     the float range, or fewer than 2d windows (from the reconstruction).
@@ -271,12 +288,20 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     # Rounding is monotone and 2 eps exact, so an exact half-range <= eps
     # never reads as nonzero; Python floats turn extreme sums into inf quietly.
     top, bottom = max(sums), min(sums)
-    if top - bottom > 2.0 * noise_eps:
+    k_max, k_min = sums.index(top), sums.index(bottom)
+    beyond = top - bottom > 2.0 * noise_eps
+    if top - bottom == 2.0 * noise_eps:
+        # A rounding tie: decide on the stored sums, which Python compares
+        # exactly, int or float; equal ones (constant windows at zero noise)
+        # need no Fractions.
+        hi, lo = max(w.sums), min(w.sums)
+        k_max, k_min = w.sums.index(hi), w.sums.index(lo)
+        beyond = hi != lo and Fraction(hi) - Fraction(lo) > 2 * Fraction(noise_eps)
+    if beyond:
         # Halving first keeps the margin finite for sums of opposite sign
         # near the float range.
         margin = top / 2.0 - bottom / 2.0 - noise_eps
-        witness = NonzeroWitness(sums.index(top), sums.index(bottom), margin)
-        return report(Decision.NONZERO, nonzero_witness=witness)
+        return report(Decision.NONZERO, nonzero_witness=NonzeroWitness(k_max, k_min, margin))
     if model.degenerate:
         return report(Decision.INCONCLUSIVE, flags=model.flags)
     # Growing modes overflow the powers to inf (and inf * 0 to NaN); the

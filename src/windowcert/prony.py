@@ -6,6 +6,14 @@ coefficients, extract the nodes as polynomial roots (companion-matrix
 eigenvalues with a short Newton polish), and solve the Vandermonde system for
 the amplitudes.  Degeneracies (singular Hankel, repeated/zero nodes, vanishing
 amplitudes) are reported as flags on the model, never as exceptions.
+
+At order one the three steps have a closed form: S_k = A mu^k with A = S_0
+and mu = S_1 / S_0.  ``prony_reconstruct`` returns it directly whenever
+c = -S_1 / S_0 is finite and nonzero, bit for bit the model of the three
+LAPACK steps: a 1 x 1 solve is the IEEE quotient, a 1 x 1 matrix has one
+singular value, so both condition numbers are exactly 1, the first Newton
+step of ``char_roots`` lands exactly on -c (r + c is exact for an estimate r
+within an ulp of -c), and V = [[1.0]] leaves the amplitude S_0.
 """
 from __future__ import annotations
 
@@ -74,6 +82,16 @@ def _sums(S) -> np.ndarray:
     return np.asarray(S.floats() if isinstance(S, WindowData) else S, dtype=float)
 
 
+def _hankel_sums(S, d: int) -> np.ndarray:
+    """The sums as floats, checked to hold the 2d that a d x d Hankel system reads."""
+    s = _sums(S)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if len(s) < 2 * d:
+        raise ValueError(f"need at least 2d={2 * d} window sums, got {len(s)}")
+    return s
+
+
 def solve_recurrence_coeffs(S, d: int):
     """Monic characteristic coefficients (a_1..a_d) of the window-sum recurrence.
 
@@ -83,11 +101,7 @@ def solve_recurrence_coeffs(S, d: int):
     falls back to a least-squares solve.  Coefficients that overflow set it
     too.
     """
-    s = _sums(S)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if len(s) < 2 * d:
-        raise ValueError(f"need at least 2d={2 * d} window sums, got {len(s)}")
+    s = _hankel_sums(S, d)
     i = np.arange(d)
     hankel = s[i[:, None] + i]
     # Row k of the solve matrix is (S_{k+d-1}, ..., S_k): the Hankel row reversed.
@@ -236,9 +250,25 @@ def prony_reconstruct(S, d: int) -> PronyModel:
     """Full recovery S_0..S_{2d-1} -> (nodes, amplitudes) with diagnostics.
 
     Only the first 2d sums are consulted.  Degenerate inputs produce a model
-    with the corresponding flags set rather than raising.
+    with the corresponding flags set rather than raising.  At d = 1, when
+    c = -S_1 / S_0 is finite and nonzero, the model is the closed form
+    (nodes (-c,), amplitudes (S_0,), both condition numbers 1.0, no flags)
+    in Python floats, which equals the staged path bit for bit (see the
+    module docstring); S_0 = 0, S_1 = 0 or an overflowing quotient take the
+    staged path and its flags.
     """
-    s = _sums(S)
+    s = _hankel_sums(S, d)
+    if d == 1:  # the order-one closed form
+        s0, s1 = s[:2].tolist()
+        c = -s1 / s0 if s0 != 0.0 else 0.0
+        if c != 0.0 and math.isfinite(c):
+            return PronyModel(
+                nodes=(-c,),
+                amplitudes=(s0,),
+                char_coeffs=(c,),
+                hankel_condition=1.0,
+                vandermonde_condition=1.0,
+            )
     coeffs, hankel_condition, flags = solve_recurrence_coeffs(s, d)
     nodes, amps, vdm_condition = (), (), math.inf
     if HANKEL_SINGULAR not in flags:

@@ -346,6 +346,24 @@ class TestPipeline:
             value = certificate_value(project_mean_zero(np.log(y)))
             assert value <= max(report.threshold, CERTIFICATE_FLOOR)
 
+    def test_alias_at_even_W_is_outside_the_class(self):
+        # The zero claim covers real rates a > 0.  At even W the alias
+        # y_n = c (1 + (-1)^n / 2), rates 1 and -1, has the constant windows
+        # W c: it is within the noise of these data, yet its certificate is
+        # far above the zero verdict's threshold.
+        sums = (46.373047464052235, 46.373019494096354, 46.372522351621626, 46.363686061667025)
+        W, K = 12, 4
+        report = pipeline(WindowData(sums, W, K), 2, noise_eps=1e-2)
+        assert report.decision is Decision.ZERO
+        assert report.threshold == pytest.approx(1.0427, rel=1e-4)
+        c = (max(sums) + min(sums)) / (2 * W)
+        y = [c * (1.0 + 0.5 * (-1) ** n) for n in range(W * K)]
+        windows = [math.fsum(y[k * W : (k + 1) * W]) for k in range(K)]
+        assert max(abs(s - v) for s, v in zip(sums, windows)) < 0.0047
+        value = certificate_value(project_mean_zero(np.log(y)))
+        assert value == pytest.approx(7.43, rel=1e-3)
+        assert value > report.threshold
+
     def test_perturbation_stays_certified(self):
         # 100 small multiplicative perturbations of a neutral configuration:
         # none may flip to a nonzero verdict at the declared noise level.
@@ -443,8 +461,8 @@ class TestHostileSums:
     def test_nonzero_iff_beyond_noise_with_exact_witness(self, case):
         # In Fractions: every nonzero report's window pair spans more than
         # 2 eps, and data whose half-range exceeds eps are nonzero whatever
-        # the model's flags.  The float difference may round onto 2 eps
-        # exactly; such a tie reads as within the noise.
+        # the model's flags, also when the float difference rounds onto
+        # 2 eps exactly.
         w, d, noise = case
         report = pipeline(w, d, noise_eps=noise)
         exact = [Fraction(s) for s in w.sums]
@@ -456,8 +474,25 @@ class TestHostileSums:
         else:
             assert witness is None
         if max(exact) - min(exact) > 2 * Fraction(noise):
-            if max(w.sums) - min(w.sums) != 2 * noise:
-                assert report.decision is Decision.NONZERO
+            assert report.decision is Decision.NONZERO
+
+    @pytest.mark.parametrize(
+        "sums, noise, witness",
+        [
+            ((2e-6, -1e-30, 0.0, 1e-6), 1e-6, (0, 1, 0.0)),  # spread 2e-6 + 1e-30
+            ((2**60, 2**60 + 1, 2**60, 2**60), 0.0, (1, 0, 0.0)),  # one float
+            ((2e-6, 0.0, 0.0, 1e-6), 1e-6, None),  # an exact tie
+        ],
+        ids=["float", "int", "exact"],
+    )
+    def test_rounding_tie_decided_exactly(self, sums, noise, witness):
+        # max S - min S rounds onto 2 eps: the stored sums decide in
+        # Fractions, and the margin reads 0.0.
+        w = WindowData(sums, 2, 4)
+        assert max(w.floats()) - min(w.floats()) == 2 * noise
+        report = pipeline(w, 1, noise_eps=noise)
+        assert report.nonzero_witness == witness
+        assert (report.decision is Decision.NONZERO) == (witness is not None)
 
     @settings(max_examples=300, deadline=None)
     @given(hostile_windows())

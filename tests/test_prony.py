@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -17,6 +19,7 @@ from windowcert.prony import (
     ZERO_AMPLITUDE_RATIO,
     ZERO_NODE,
     ZERO_NODE_RATIO,
+    PronyModel,
     char_roots,
     prony_reconstruct,
     solve_amplitudes,
@@ -369,12 +372,15 @@ def _bits(values):
 
 
 def _exact(fn, *args):
-    """The parts of fn's result with every number as its bits, or the type of
-    the ValueError (LinAlgError included) that fn raises."""
+    """The parts of fn's result (a model's fields) with every number as its
+    bits, or the type of the ValueError (LinAlgError included) that fn
+    raises."""
     try:
         result = fn(*args)
     except ValueError as exc:
         return type(exc)
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
     parts = []
     for part in result:
         if isinstance(part, float):
@@ -410,6 +416,19 @@ def monic_coefficients(draw):
         coeffs = np.poly(roots).real[1:].tolist()
     zeros = draw(st.integers(0, d))
     return tuple(coeffs[: d - zeros]) + (0.0,) * zeros
+
+
+def _staged_reconstruct(S, d):
+    """``prony_reconstruct`` assembled from its three stages alone."""
+    coeffs, hankel_condition, flags = solve_recurrence_coeffs(S, d)
+    nodes, amps, vdm_condition = (), (), math.inf
+    if HANKEL_SINGULAR not in flags:
+        nodes, root_flags = char_roots(coeffs)
+        flags |= root_flags
+    if not flags & {HANKEL_SINGULAR, REPEATED_NODES, ZERO_NODE}:
+        amps, vdm_condition, amp_flags = solve_amplitudes(S, nodes)
+        flags |= amp_flags
+    return PronyModel(nodes, amps, coeffs, hankel_condition, vdm_condition, frozenset(flags))
 
 
 def _case_study_sums():
@@ -483,6 +502,35 @@ class TestBitIdentity:
         assert _exact(solve_recurrence_coeffs, sums, d) == _exact(
             _list_hankel_coeffs, sums, d
         )
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=4))
+    @example([0.0, 1.0])
+    @example([-0.0, 1.0])
+    @example([1.0, 0.0])  # S_1 = 0
+    @example([1.0, -0.0])
+    @example([5e-324, -5e-324])
+    @example([1.0, 5e-324])  # a subnormal coefficient
+    @example([1e-150, 1.0])  # |c| = 1e150
+    @example([-1e150, 1e-150])  # |c| = 1e-300
+    @example([1e-300, 1e300])  # S_1 / S_0 overflows
+    @example(WindowData((8.0, 4.0, 2.0, 1.0), 1, 4))
+    @example(WindowData((10**400, 1), 1, 2))  # beyond the float range
+    def test_order_one_matches_stages(self, sums):
+        assert _exact(prony_reconstruct, sums, 1) == _exact(_staged_reconstruct, sums, 1)
+
+    def test_order_one_needs_no_lapack(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("svd", "solve", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, unavailable)
+        model = prony_reconstruct([8.0, 4.0, 2.0, 1.0], 1)
+        assert (model.nodes, model.amplitudes, model.char_coeffs) == ((0.5,), (8.0,), (-0.5,))
+        assert (model.hankel_condition, model.vandermonde_condition) == (1.0, 1.0)
+        assert model.flags == frozenset()
+        with pytest.raises(AssertionError, match="numpy.linalg"):
+            prony_reconstruct([0.0, 4.0], 1)  # S_0 = 0 takes the staged path
 
     def test_case_studies(self):
         for sums, d in _case_study_sums():
