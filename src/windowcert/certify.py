@@ -53,9 +53,10 @@ class NonzeroWitness(NamedTuple):
     """The windows that decide a nonzero verdict: S[k_max] - S[k_min] > 2 eps,
     so no constant is within eps of both.  ``margin`` is
     (S[k_max] - S[k_min]) / 2 - eps in floats, for display; the pair is the
-    certificate, checked by one exact subtraction.  On a rounding tie, where
-    the float difference equals 2 eps and the exact one exceeds it, the
-    margin can read 0.0."""
+    certificate, checked by one exact subtraction.  Where the floats do not
+    resolve the pair, the margin can read 0.0: on a rounding tie, where the
+    float difference equals 2 eps and the exact one exceeds it, and on int
+    sums that their floats round together."""
 
     k_max: int
     k_min: int
@@ -244,9 +245,10 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
 
     - ``nonzero`` iff the half-range exceeds ``noise_eps``: no constant is
       within the noise, so this is sound for every class with the constants.
-      The test is in floats, and exact on a rounding tie: when
-      max S - min S equals 2 ``noise_eps`` in floats, the stored sums decide
-      in Fractions.
+      The test is in floats, and exact where floats could mislead it: when
+      max S - min S equals 2 ``noise_eps`` in floats (a rounding tie), or
+      when an int sum is one its float does not hold
+      (``WindowData.floats_exact``), the stored sums decide in Fractions.
       It rests on the sums alone, so no model flag can veto it, and its
       certificate is the window pair of ``NonzeroWitness``.  The distance
       does not depend on sign: finite sums are never malformed, and sums no
@@ -285,22 +287,23 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
 
     model = prony_reconstruct(sums, d)
     report = partial(CertReport, reconstruction=model, noise_eps=noise_eps, W=W, K=K)
-    # Rounding is monotone and 2 eps exact, so an exact half-range <= eps
-    # never reads as nonzero; Python floats turn extreme sums into inf quietly.
+    # For sums that their floats hold, rounding is monotone and 2 eps exact,
+    # so an exact half-range <= eps never reads as nonzero; Python floats
+    # turn extreme sums into inf quietly.
     top, bottom = max(sums), min(sums)
     k_max, k_min = sums.index(top), sums.index(bottom)
     beyond = top - bottom > 2.0 * noise_eps
-    if top - bottom == 2.0 * noise_eps:
-        # A rounding tie: decide on the stored sums, which Python compares
-        # exactly, int or float; equal ones (constant windows at zero noise)
-        # need no Fractions.
+    if top - bottom == 2.0 * noise_eps or not w.floats_exact:
+        # A rounding tie, or rounded int sums: decide on the stored sums,
+        # which Python compares exactly, int or float; equal ones (constant
+        # windows at zero noise) need no Fractions.
         hi, lo = max(w.sums), min(w.sums)
         k_max, k_min = w.sums.index(hi), w.sums.index(lo)
         beyond = hi != lo and Fraction(hi) - Fraction(lo) > 2 * Fraction(noise_eps)
     if beyond:
         # Halving first keeps the margin finite for sums of opposite sign
         # near the float range.
-        margin = top / 2.0 - bottom / 2.0 - noise_eps
+        margin = max(top / 2.0 - bottom / 2.0 - noise_eps, 0.0)
         return report(Decision.NONZERO, nonzero_witness=NonzeroWitness(k_max, k_min, margin))
     if model.degenerate:
         return report(Decision.INCONCLUSIVE, flags=model.flags)

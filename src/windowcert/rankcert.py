@@ -21,22 +21,46 @@ Writing z^s x for x delayed by s samples, the derivative sequences are
   dy/dq_j = -z^j E - sum_{s=d+1-j..d-1} y_s z^{j+s} g,
 
 so each Jacobian column is the same combination of the window sums of the
-delayed g and E.  Every term is a part of the derivative itself: the formula
-builds in no cancellation between large terms, which keeps float columns
-accurate when the initial values decay fast.  For N = W(2d+1) samples this
-costs about 2Nd + d^2 K multiplications instead of (2d+1)Nd.  Integer
-parameters give a bit-exact integer matrix (Python ints are arbitrary
-precision, so exact assembly never overflows).  The program assembles it
-only at integer witness points; float (and Fraction) parameters reach it
-only from the tests, where it is the oracle for the closed-form Jacobian of
+delayed g and E: those of g at delays d+1..2d and those of E at delays 1..d.
+
+A window sum of a recurrent sequence obeys a window-level recurrence
+(Fiduccia 1985, SIAM J. Comput. 14(1)).  If s_t = (x_t, ..., x_{t-d+1})
+obeys s_{t+1} = C s_t, with C the companion matrix of Q, then
+s_{t+W} = C^W s_t, and so do the W-sample sums of x.  The d sums of g that
+one window needs thus move to the next window by one product with C^W; the
+d sums of E, which obeys the recurrence forced by y, move with the y sums by
+one product with [C^W X; 0 C^W].  Rows of C^W and X come from g and g/Q
+near index W, at about d^2 multiply-adds each.  ``jacobian`` has two paths:
+
+- W < d: the sums come from the samples, about 3dN multiply-adds over
+  N = W(2d+1) samples;
+- W >= d: the first ceil(2d/W) + 1 windows come from the samples and the
+  rest from the steps, about 4d^2 multiply-adds per window, a count that
+  no longer grows with W (the entries still do, linearly).
+
+The steps need W >= d, and from W = d on they were faster on every cell of
+the bench grid (d in {3, 6, 10, 16}), so the crossover is W = d.  Both paths
+then assemble the columns with about d^2 K multiply-adds.
+
+Integer parameters give a bit-exact integer matrix (Python ints are
+arbitrary precision, so exact assembly never overflows), and Fractions an
+exact one.  Float parameters are read as the rationals they are and each
+entry is rounded once: a window step extrapolates W samples ahead from d
+consecutive ones, which in floating point loses up to 2e-9 of a column
+when the rates crowd near 1.  The program assembles the matrix only at
+integer witness points; float (and Fraction) parameters reach it only from
+the tests, where it is the oracle for the closed-form Jacobian of
 ``certify.estimate_lipschitz``.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 from typing import Optional
+
+import numpy as np
 
 from .signal import ExponentialMixture, RationalParams, block_sums
 from .signal import generate_sequence, mixture_window_params
@@ -74,67 +98,154 @@ def is_prime(n: int) -> bool:
 def jacobian(params: RationalParams, W: int) -> list:
     """(2d+1) x (2d+1) Jacobian of the window map; exact for integer params.
 
-    Row k is window k; column order is (y_0..y_d, q_1..q_d).  Each column
+    Row k is window k; column order is (y_0..y_d, q_1..q_d).  Each row
     combines window sums of the impulse response g and the tail response E,
-    delayed by a few samples (see the module docstring).
+    delayed by a few samples.  For W < d the sums come from the samples
+    (``_sample_states``), from W = d on from window-level steps
+    (``_stepped_states``); the paths give the same entries.  Float
+    parameters give the exact entries rounded to floats (see the module
+    docstring).
     """
     if W < 1:
         raise ValueError("W must be >= 1")
     d = params.degree
-    K = 2 * d + 1
-    n = W * K  # the windows cover y_0..y_{n-1}
+    from_floats = any(isinstance(v, float) for v in params.as_vector())
+    if from_floats:
+        params = RationalParams.from_vector(map(Fraction, params.as_vector()), d)
     q = params.recurrence
-    y = generate_sequence(params, n - 1)
+    y = params.initial
+    if W < d:
+        K = 2 * d + 1
+        _, g, tail = _responses(params, W * K)
+        states = _sample_states(g, tail, W, K, d)
+    else:
+        states = _stepped_states(params, W)
+    # Weights on the g sums at delays d+1, d+2, ...: column y_a takes -q_m
+    # at delay a+m, column q_j takes -y_s at delay j+s.
+    y_weights = [[-q[r + d - a] for r in range(a)] for a in range(d + 1)]
+    q_weights = [[-y[r + d + 1 - j] for r in range(j - 1)] for j in range(1, d + 1)]
+    rows = []
+    for k, (b, e) in enumerate(states):
+        # e_a: sample a lies in window a // W.
+        row = [sum(map(mul, w, b), int(a // W == k)) for a, w in enumerate(y_weights)]
+        row += [sum(map(mul, w, b), -v) for w, v in zip(q_weights, e)]
+        rows.append(row)
+    if from_floats:
+        return [[float(v) for v in row] for row in rows]
+    return rows
+
+
+def _responses(params: RationalParams, n: int):
+    """The samples of y, g and E that window sums over y_0..y_{n-1} read:
+    y_0..y_{n-2}, g_0..g_{n-d-2} (g enters with delays >= d+1) and
+    E_0..E_{n-2} (E enters with delays >= 1)."""
+    d = params.degree
+    q = params.recurrence
+    y = generate_sequence(params, n - 2)
     # x[:-d-1:-1] is (x_{t-1}, ..., x_{t-d}), paired with (q_1, ..., q_d).
-    # g enters only with delays >= d+1, so g_0..g_{n-d-2} suffice.
     g = [0] * d + [1]  # d leading zeros, then g_0
     for _ in range(n - d - 2):
         g.append(-sum(map(mul, q, g[: -d - 1 : -1])))
     tail = [0] * (2 * d)  # d leading zeros, then E_0..E_{d-1} = 0
     for t in range(d, n - 1):
         tail.append(y[t] - sum(map(mul, q, tail[: -d - 1 : -1])))
-    g = g[d:]
-    tail = tail[d:]
-    win_g = {s: block_sums(g, W, K, s) for s in range(d + 1, 2 * d + 1)}
+    return y, g[d:], tail[d:]
 
-    columns = []
-    for alpha in range(d + 1):
-        col = [0] * K
-        col[alpha // W] = 1  # e_a: sample a lies in window a // W
-        for m in range(d - alpha + 1, d + 1):
-            col = [c - q[m - 1] * w for c, w in zip(col, win_g[alpha + m])]
-        columns.append(col)
-    for j in range(1, d + 1):
-        col = [-v for v in block_sums(tail, W, K, j)]
-        for s in range(d + 1 - j, d):
-            col = [c - y[s] * w for c, w in zip(col, win_g[j + s])]
-        columns.append(col)
-    return [list(row) for row in zip(*columns)]
+
+def _sample_states(g, tail, W: int, K: int, d: int) -> list:
+    """Per window k < K, the pair (sums of g at delays d+1..2d, sums of E at
+    delays 1..d), each sum taken over W samples."""
+    win_g = [block_sums(g, W, K, s) for s in range(d + 1, 2 * d + 1)]
+    win_e = [block_sums(tail, W, K, j) for j in range(1, d + 1)]
+    return [(list(b), list(e)) for b, e in zip(zip(*win_g), zip(*win_e))]
+
+
+def _stepped_states(params: RationalParams, W: int) -> list:
+    """The pairs of ``_sample_states`` for all 2d+1 windows, for W >= d.
+
+    Windows 0..k0, k0 = ceil(2d/W), are summed from the samples.  From there
+    three states move one window per step:
+
+      B = (B_{t-d-1}, ..., B_{t-2d})  the g sums,     B' = C^W B,
+      T = (T_{t-1}, ..., T_{t-d})     the E sums,     T' = C^W T + X Y,
+      Y = (Y_{t-1}, ..., Y_{t-d})     the y sums,     Y' = C^W Y,
+
+    at t = Wk, where B_s, T_s and Y_s sum W samples from s on (Y counts
+    y_n from n = d on).  B_s obeys the recurrence of Q from s = 1 on, Y_s
+    from s = 2d on, and T_s obeys it forced by Y_s, so every step from
+    window k0 on is exact.
+    """
+    d = params.degree
+    q = params.recurrence
+    k0 = -(-2 * d // W)
+    y, g, tail = _responses(params, W * (k0 + 1))
+    states = _sample_states(g, tail, W, k0 + 1, d)
+    g2 = [0] * d  # d leading zeros, then g2 = g / Q = 1 / Q^2
+    for v in g[: W + d - 1]:
+        g2.append(v - sum(map(mul, q, g2[: -d - 1 : -1])))
+    power = _step_matrix(q, g, W)
+    coupled = [a + b for a, b in zip(power, _step_matrix(q, g2[d:], W))]
+    b_state, e_state = states[-1]
+    y_state = [sum(y[W * k0 - j : W * k0 - j + W]) for j in range(1, d + 1)]
+    for _ in range(k0 + 1, 2 * d + 1):
+        e_state = [sum(map(mul, row, e_state + y_state)) for row in coupled]
+        b_state = [sum(map(mul, row, b_state)) for row in power]
+        y_state = [sum(map(mul, row, y_state)) for row in power]
+        states.append((b_state, e_state))
+    return states
+
+
+def _step_matrix(q, x, W: int) -> list:
+    """Rows of the d x d matrix with entries -sum_{m=c+1..d} q_m x_{W-r+c-m},
+    where x is 0 at a negative index.
+
+    With x = g this is C^W, the W-th power of the companion matrix of Q
+    acting on (s_t, ..., s_{t-d+1}): row r holds the coefficients of
+    s_{t+W-r}.  With x = g/Q it is the block X of the (T, Y) step.  Entries
+    on one diagonal share their terms, so each costs one multiply-add.
+    """
+    d = len(q)
+    rows = [[0] * d for _ in range(d)]
+    for diagonal in range(W - d + 1, W + d):  # diagonal = W - r + c
+        acc = 0
+        for c in range(d - 1, -1, -1):
+            if diagonal > c:
+                acc -= q[c] * x[diagonal - c - 1]
+            r = W + c - diagonal
+            if 0 <= r < d:
+                rows[r][c] = acc
+    return rows
 
 
 def det_mod(matrix, p: int) -> int:
-    """Determinant residue in [0, p) by Gaussian elimination over F_p."""
+    """Determinant residue in [0, p) by Gaussian elimination over F_p.
+
+    Each pivot updates all rows below it at once.  For p < 2^31 every
+    product of two residues fits int64, and the matrix is an int64 array;
+    a larger p keeps Python ints (dtype object).
+    """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    m = [[int(v) % p for v in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    rows = [[int(v) % p for v in row] for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
+    m = np.array(rows, dtype=np.int64 if p < 2**31 else object).reshape(n, n)
     det = 1
     for i in range(n):
-        pivot = next((r for r in range(i, n) if m[r][i]), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            m[i], m[pivot] = m[pivot], m[i]
-            det = -det % p
-        det = det * m[i][i] % p
-        inv = pow(m[i][i], p - 2, p)
-        tail = m[i][i + 1 :]  # columns up to i are never read again
-        for r in range(i + 1, n):
-            f = m[r][i] * inv % p
-            if f:
-                m[r][i + 1 :] = [(a - f * b) % p for a, b in zip(m[r][i + 1 :], tail)]
+        if not m[i, i]:
+            below = np.flatnonzero(m[i + 1 :, i])
+            if below.size == 0:
+                return 0
+            pivot = i + 1 + int(below[0])
+            m[[i, pivot]] = m[[pivot, i]]
+            det = -det
+        pivot_value = int(m[i, i])
+        det = det * pivot_value % p
+        f = m[i + 1 :, i] * pow(pivot_value, -1, p) % p
+        rest = m[i + 1 :, i + 1 :]  # columns up to i are never read again
+        rest -= f[:, None] * m[i, i + 1 :]
+        rest %= p
     return det
 
 

@@ -458,6 +458,7 @@ class TestHostileSums:
     @example(NEAR_CONSTANT)
     @example(hostile_case(INFINITE_AMPLITUDES))
     @example((WindowData((2e-6, -1e-30, 0.0, 1e-6), 2, 4), 1, 1e-6))  # a rounding tie
+    @example((WindowData((2**60, 2**60 + 1, 2**60, 2**60), 2, 4), 1, 1e-2))  # ints one float holds
     def test_nonzero_iff_beyond_noise_with_exact_witness(self, case):
         # In Fractions: every nonzero report's window pair spans more than
         # 2 eps, and data whose half-range exceeds eps are nonzero whatever
@@ -481,15 +482,17 @@ class TestHostileSums:
         [
             ((2e-6, -1e-30, 0.0, 1e-6), 1e-6, (0, 1, 0.0)),  # spread 2e-6 + 1e-30
             ((2**60, 2**60 + 1, 2**60, 2**60), 0.0, (1, 0, 0.0)),  # one float
+            ((2**60, 2**60 + 1, 2**60, 2**60), 1e-2, (1, 0, 0.0)),  # spread 1 > 2 eps
             ((2e-6, 0.0, 0.0, 1e-6), 1e-6, None),  # an exact tie
         ],
-        ids=["float", "int", "exact"],
+        ids=["float", "int", "int_beyond_noise", "exact"],
     )
     def test_rounding_tie_decided_exactly(self, sums, noise, witness):
-        # max S - min S rounds onto 2 eps: the stored sums decide in
-        # Fractions, and the margin reads 0.0.
+        # The floats do not resolve the half-range: max S - min S rounds
+        # onto 2 eps, or int sums round onto one float.  The stored sums
+        # decide in Fractions, and the margin reads 0.0.
         w = WindowData(sums, 2, 4)
-        assert max(w.floats()) - min(w.floats()) == 2 * noise
+        assert max(w.floats()) - min(w.floats()) <= 2 * noise
         report = pipeline(w, 1, noise_eps=noise)
         assert report.nonzero_witness == witness
         assert (report.decision is Decision.NONZERO) == (witness is not None)

@@ -108,9 +108,9 @@ def integer_points(draw):
 
 @st.composite
 def decaying_float_points(draw):
-    # d <= 4: from d = 5 on, with rates bunched near 1, both float assemblies
-    # drift from the exact Jacobian by 1e-9 (d = 5) to 5e-7 (d = 7) of a
-    # column's max, so they cannot be compared at this tolerance.
+    # d <= 4: from d = 5 on, with rates bunched near 1, the float
+    # propagation drifts from the exact Jacobian by 1e-9 (d = 5) to 5e-7
+    # (d = 7) of a column's max, so it cannot serve at this tolerance.
     d = draw(st.integers(1, 4))
     rate = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     rates = draw(st.lists(rate, min_size=d, max_size=d))
@@ -120,15 +120,44 @@ def decaying_float_points(draw):
 
 
 blocks = st.integers(1, 12)
+# Block lengths on both sides of the crossover W = d of ``jacobian``: below
+# it the sums come from the samples, from it on from window-level steps.
+wide_blocks = st.integers(1, 24)
 
 
 class TestAssemblyProperties:
     @settings(max_examples=150, deadline=None)
-    @given(integer_points(), blocks)
+    @given(integer_points(), wide_blocks)
     @example(RationalParams((0, 0, 0), (3, -2)), 5)  # all-zero initial values
-    @example(RationalParams((1, -2, 4), (3, 0)), 4)  # q_d = 0
+    @example(RationalParams((1, -2, 4), (3, 0)), 4)  # q_d = 0, steps
+    @example(RationalParams((1, -2, 4, 1), (3, 1, 0)), 2)  # q_d = 0, samples
+    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 3)  # W = d - 1
+    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 4)  # W = d
+    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 1)  # W = 1
+    @example(RationalParams((3, 4), (5,)), 1)  # W = d = 1: no step after the sums
     def test_exact_matches_propagation(self, params, W):
         assert jacobian(params, W) == _propagated_jacobian(params, W)
+
+    @pytest.mark.parametrize("d", [3, 6, 10, 16])
+    def test_steps_match_samples_on_grid(self, d):
+        # The bench grid: both paths give the same sums, as Python ints, at
+        # every W >= d, where ``jacobian`` takes the steps.
+        rng = np.random.default_rng(d)
+        K = 2 * d + 1
+        for W in (8, 16, 32, 64):
+            if W < d:
+                continue
+            pi = [int(v) for v in rng.integers(-5, 6, K)]
+            params = RationalParams.from_vector(pi, d)
+            samples = rankcert._responses(params, W * K)[1:]
+            expected = rankcert._sample_states(*samples, W, K, d)
+            assert rankcert._stepped_states(params, W) == expected
+
+    def test_steps_match_samples_on_witness(self):
+        K = 2 * WITNESS_D + 1
+        samples = rankcert._responses(WITNESS, WITNESS_W * K)[1:]
+        expected = rankcert._sample_states(*samples, WITNESS_W, K, WITNESS_D)
+        assert rankcert._stepped_states(WITNESS, WITNESS_W) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(decaying_float_points(), blocks)
@@ -167,11 +196,23 @@ class TestDetMod:
         ab = (np.array(a) @ np.array(b)).tolist()
         assert det_mod(ab, PRIME) == det_mod(a, PRIME) * det_mod(b, PRIME) % PRIME
 
-    def test_matches_exact_fraction_determinant(self):
+    @pytest.mark.parametrize("case", ["dense4", "dense33", "row_swap", "singular"])
+    @pytest.mark.parametrize(
+        "p", [2**31 - 1, 2**61 - 1], ids=["int64", "object"]
+    )
+    def test_matches_exact_fraction_determinant(self, p, case):
+        # 2^31 - 1 is the largest prime that runs in int64; at 2^61 - 1 the
+        # products of residues overflow int64, so a wrong dtype shows here.
         rng = np.random.default_rng(17)
-        m = rng.integers(-9, 9, (4, 4)).tolist()
+        n = 4 if case == "dense4" else 33
+        m = rng.integers(-9, 9, (n, n)).tolist()
+        if case == "row_swap":
+            m[0][0] = 0  # the first pivot comes from a lower row
+        if case == "singular":
+            m[20] = [a - 2 * b for a, b in zip(m[3], m[11])]
         exact = _fraction_det(m)
-        assert det_mod(m, PRIME) == int(exact) % PRIME
+        assert (exact == 0) == (case == "singular")
+        assert det_mod(m, p) == int(exact) % p
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
