@@ -125,11 +125,12 @@ def jacobian(params: RationalParams, W: int) -> list:
     y_weights = [[-q[r + d - a] for r in range(a)] for a in range(d + 1)]
     q_weights = [[-y[r + d + 1 - j] for r in range(j - 1)] for j in range(1, d + 1)]
     rows = []
-    for k, (b, e) in enumerate(states):
-        # e_a: sample a lies in window a // W.
-        row = [sum(map(mul, w, b), int(a // W == k)) for a, w in enumerate(y_weights)]
+    for b, e in states:
+        row = [sum(map(mul, w, b)) for w in y_weights]
         row += [sum(map(mul, w, b), -v) for w, v in zip(q_weights, e)]
         rows.append(row)
+    for a in range(d + 1):
+        rows[a // W][a] += 1  # e_a: sample a lies in window a // W
     if from_floats:
         return [[float(v) for v in row] for row in rows]
     return rows
