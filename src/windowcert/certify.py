@@ -86,7 +86,7 @@ class CertReport:
     def to_dict(self) -> dict:
         """The report document: non-finite values are None (JSON null), and
         ``bound_vacuous`` says whether the threshold is infinite.  When L is
-        set, the threshold is ``eps_bound(L, K, eps0, noise_eps)``."""
+        set, the threshold is ``eps_bound(L, K, noise_eps)``."""
         return {
             "decision": self.decision.value,
             "certificate_value": finite_or_none(self.certificate_value),
@@ -108,21 +108,22 @@ class CertReport:
         }
 
 
-def eps_bound(L: float, K: int, eps0: float, eps: float) -> float:
-    """Quadratic certificate bound exp(L sqrt(K) eps0) * L^2 K eps^2 / 2.
+def eps_bound(L: float, K: int, eps: float) -> float:
+    """Quadratic certificate bound exp(L sqrt(K) eps0) * L^2 K eps^2 / 2,
+    with eps0 = ``EPS0``.
 
     Valid for window noise of sup-norm eps within the regime eps <= eps0 on
     which the reconstruction Lipschitz constant L was established.
     """
-    if L <= 0.0 or K < 1 or eps0 <= 0.0:
-        raise ValueError("L, K, eps0 must be positive")
+    if L <= 0.0 or K < 1:
+        raise ValueError("L, K must be positive")
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    if eps > eps0:
-        raise ValueError(f"eps={eps} exceeds the certified regime eps0={eps0}")
+    if eps > EPS0:
+        raise ValueError(f"eps={eps} exceeds the certified regime eps0={EPS0}")
     if eps == 0.0:
         return 0.0
-    exponent = L * math.sqrt(K) * eps0
+    exponent = L * math.sqrt(K) * EPS0
     if exponent > 700.0:
         # Conditioning so poor the bound is vacuous.
         return math.inf
@@ -193,20 +194,6 @@ def _modal_jacobian(rates, weights, W: int) -> np.ndarray:
     return np.linalg.solve(M.T, H.T).T  # J^T = M^-T H^T
 
 
-def decide_certificate(u, threshold: float) -> Decision:
-    """Two-valued coercive decision on a projected log-vector: zero iff the
-    certificate is at most the threshold, else nonzero.
-
-    ``pipeline`` does not apply its nonzero branch: there a certificate above
-    the bound gives inconclusive ``bound_exceeded``, and nonzero comes only
-    from the window pair.  Its callers are acceptance criterion 8's
-    translation-invariance probe and ``TestDecideCertificate``."""
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    value = certificate_value(u)
-    return Decision.ZERO if value <= threshold else Decision.NONZERO
-
-
 def _samples_from_model(model: PronyModel, W: int, n_samples: int):
     """Per-sample reconstruction of the model over the report horizon.
 
@@ -258,7 +245,7 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
       non-positive sample values, singular conditioning) yield
       ``inconclusive`` with flags; they never escape as exceptions;
     - ``zero`` iff the certificate is at most
-      ``max(eps_bound(L, K, eps0, noise_eps), CERTIFICATE_FLOOR)``;
+      ``max(eps_bound(L, K, noise_eps), CERTIFICATE_FLOOR)``;
     - ``inconclusive`` with ``bound_exceeded`` otherwise.
 
     Every report carries the Prony model, whose own flags stay in it for
@@ -319,7 +306,7 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
         except ValueError:  # LinAlgError included
             return report(Decision.INCONCLUSIVE, flags=frozenset({LIPSCHITZ_SINGULAR}))
 
-    threshold = eps_bound(lipschitz, K, EPS0, noise_eps)
+    threshold = eps_bound(lipschitz, K, noise_eps)
     u = project_mean_zero(np.log(samples))
     value = certificate_value(u)
     defect_estimate = math.sqrt(u.dot(u))  # np.linalg.norm of a real vector

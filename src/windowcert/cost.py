@@ -16,10 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below this distance from 1, evaluate via (x-1)^2/(2x) to avoid cancellation.
-_NEAR_ONE = 1e-4
-
-
 @dataclass(frozen=True)
 class RatioBand:
     """Closed interval [lower, upper] of admissible positive ratios."""
@@ -52,10 +48,10 @@ def cost(x: float) -> float:
     Nonnegative, zero exactly at x = 1, and symmetric under x -> 1/x.
     """
     x = _check_positive(x)
-    if abs(x - 1.0) < _NEAR_ONE:
-        d = x - 1.0
-        return d * d / (2.0 * x)
-    return 0.5 * (x + 1.0 / x) - 1.0
+    # (x-1)^2/(2x), free of the cancellation in (x + 1/x)/2 - 1 near x = 1;
+    # dividing before the second factor keeps d * d from overflowing.
+    d = x - 1.0
+    return d * (d / x) / 2.0
 
 
 def _as_finite_vector(y, name: str = "y") -> np.ndarray:
@@ -123,41 +119,17 @@ def quadratic_upper_bound(t: float) -> float:
     return 0.5 * math.exp(abs(t)) * t * t
 
 
-@dataclass(frozen=True)
-class CostedCandidates:
-    """A state scale, candidate scales, and the band containing their ratios."""
-
-    state_scale: float
-    candidate_scales: tuple
-    band: RatioBand
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "candidate_scales", tuple(float(v) for v in self.candidate_scales)
-        )
-        if self.state_scale <= 0.0 or any(v <= 0.0 for v in self.candidate_scales):
-            raise ValueError("all scales must be positive")
-        for v in self.candidate_scales:
-            if not self.band.contains(self.state_scale / v):
-                raise ValueError(
-                    f"ratio {self.state_scale / v} outside band "
-                    f"[{self.band.lower}, {self.band.upper}]"
-                )
-
-
-def rank_candidates(cands: CostedCandidates, observed_ratios, delta: float):
+def rank_candidates(band: RatioBand, observed_ratios, delta: float):
     """Pick the candidate with minimal cost of its observed ratio.
 
-    With relative ratio error at most delta, the winner's true cost is within
-    2 * guarantee_eps of the true minimum.  Returns (best_index,
-    guarantee_eps).
+    Every observed ratio must lie in the band.  With relative ratio error at
+    most delta, the winner's true cost is within 2 * guarantee_eps of the
+    true minimum.  Returns (best_index, guarantee_eps).
     """
     ratios = [float(r) for r in observed_ratios]
-    if len(ratios) != len(cands.candidate_scales):
-        raise ValueError("one observed ratio per candidate required")
     for r in ratios:
-        if not cands.band.contains(r):
+        if not band.contains(r):
             raise ValueError(f"observed ratio {r} outside band")
     costs = [cost(r) for r in ratios]
     best = min(range(len(costs)), key=costs.__getitem__)
-    return best, tolerance_epsilon(cands.band, delta)
+    return best, tolerance_epsilon(band, delta)

@@ -129,9 +129,7 @@ def collision_pair(base: ExponentialMixture, d: int, W: int, K: int):
     y_in = exponential_sum(base.rates, base.weights, length).tolist()
     y_out = list(y_in)
     for m in range(1, n_bumps + 1):
-        idx = big_n + m * m
-        if idx < length:
-            y_out[idx] += 1.0
+        y_out[big_n + m * m] += 1.0
     return y_in, y_out, big_n
 
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from windowcert.certify import eps_bound
+from windowcert.certify import EPS0, eps_bound
 from windowcert.cli import _emit_json, main
 from windowcert.signal import WindowData
 
@@ -630,4 +630,5 @@ def test_certify_threshold_recomputes_from_document(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert (obj["W"], obj["K"], obj["noise_eps"]) == (2, 4, 1e-3)
     assert 0.0 < obj["threshold"] < math.inf
-    assert obj["threshold"] == eps_bound(obj["L"], obj["K"], obj["eps0"], obj["noise_eps"])
+    assert obj["eps0"] == EPS0
+    assert obj["threshold"] == eps_bound(obj["L"], obj["K"], obj["noise_eps"])

@@ -43,11 +43,13 @@ class TestCost:
         assert cost(0.5) == 0.25
 
     def test_near_one_branch_accuracy(self):
-        # (x-1)^2/(2x) and the direct form agree where the branch switches.
-        for x in (1.0 + 1e-5, 1.0 - 1e-5, 1.0 + 9e-5):
+        # Near x = 1, where (x + 1/x)/2 - 1 cancels, the cost still matches
+        # (x-1)^2/(2x) in Fractions to the last bits.  abs=0: approx's
+        # default abs=1e-12 would dwarf costs of order 1e-8.
+        for x in (1.0 + 1e-5, 1.0 - 1e-5, 1.0 + 9e-5, 1.00015, 0.9998, 1.001, 1.01):
             exact = Fraction(x)
             expected = float((exact - 1) ** 2 / (2 * exact))
-            assert cost(x) == pytest.approx(expected, rel=1e-15)
+            assert cost(x) == pytest.approx(expected, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_domain_errors(self, bad):
