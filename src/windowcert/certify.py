@@ -234,8 +234,8 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
       within the noise, so this is sound for every class with the constants.
       The test is in floats, and exact where floats could mislead it: when
       max S - min S equals 2 ``noise_eps`` in floats (a rounding tie), or
-      when an int sum is one its float does not hold
-      (``WindowData.floats_exact``), the stored sums decide in Fractions.
+      when an extreme sum is an int that its float does not hold, the
+      stored sums decide in Fractions.
       It rests on the sums alone, so no model flag can veto it, and its
       certificate is the window pair of ``NonzeroWitness``.  The distance
       does not depend on sign: finite sums are never malformed, and sums no
@@ -274,18 +274,16 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
 
     model = prony_reconstruct(sums, d)
     report = partial(CertReport, reconstruction=model, noise_eps=noise_eps, W=W, K=K)
-    # For sums that their floats hold, rounding is monotone and 2 eps exact,
-    # so an exact half-range <= eps never reads as nonzero; Python floats
-    # turn extreme sums into inf quietly.
-    top, bottom = max(sums), min(sums)
-    k_max, k_min = sums.index(top), sums.index(bottom)
+    # Python compares an int and a float exactly, so the extremes come from
+    # the stored sums.  Rounding is monotone and 2 eps exact, so the float
+    # test can err only on a tie or where a float does not hold an extreme;
+    # Python floats turn extreme differences into inf quietly.
+    hi, lo = max(w.sums), min(w.sums)
+    k_max, k_min = w.sums.index(hi), w.sums.index(lo)
+    top, bottom = sums[k_max], sums[k_min]
     beyond = top - bottom > 2.0 * noise_eps
-    if top - bottom == 2.0 * noise_eps or not w.floats_exact:
-        # A rounding tie, or rounded int sums: decide on the stored sums,
-        # which Python compares exactly, int or float; equal ones (constant
-        # windows at zero noise) need no Fractions.
-        hi, lo = max(w.sums), min(w.sums)
-        k_max, k_min = w.sums.index(hi), w.sums.index(lo)
+    if top - bottom == 2.0 * noise_eps or top != hi or bottom != lo:
+        # Equal extremes (constant windows at zero noise) need no Fractions.
         beyond = hi != lo and Fraction(hi) - Fraction(lo) > 2 * Fraction(noise_eps)
     if beyond:
         # Halving first keeps the margin finite for sums of opposite sign

@@ -30,33 +30,28 @@ s_{t+W} = C^W s_t, and so do the W-sample sums of x.  The d sums of g that
 one window needs thus move to the next window by one product with C^W; the
 d sums of E, which obeys the recurrence forced by y, move with the y sums by
 one product with [C^W X; 0 C^W].  Rows of C^W and X come from g and g/Q
-near index W, at about d^2 multiply-adds each.  ``jacobian`` has two paths:
+near index W, at about d^2 multiply-adds each.  ``_stepped_states`` sums
+the first ceil(2d/W) + 1 windows from the samples and steps the rest, about
+4d^2 multiply-adds per window, a count that no longer grows with W (the
+entries still do, linearly).  The steps need W >= d, and from W = d on they
+were faster on every cell of the bench grid (d in {3, 6, 10, 16}), so below
+W = d every window comes from the samples, about 3dN multiply-adds over
+N = W(2d+1) samples.  The columns then take about d^2 K multiply-adds.
 
-- W < d: the sums come from the samples, about 3dN multiply-adds over
-  N = W(2d+1) samples;
-- W >= d: the first ceil(2d/W) + 1 windows come from the samples and the
-  rest from the steps, about 4d^2 multiply-adds per window, a count that
-  no longer grows with W (the entries still do, linearly).
-
-The steps need W >= d, and from W = d on they were faster on every cell of
-the bench grid (d in {3, 6, 10, 16}), so the crossover is W = d.  Both paths
-then assemble the columns with about d^2 K multiply-adds.
-
-Integer parameters give a bit-exact integer matrix (Python ints are
-arbitrary precision, so exact assembly never overflows), and Fractions an
-exact one.  Float parameters are read as the rationals they are and each
-entry is rounded once: a window step extrapolates W samples ahead from d
+The Jacobian is exact for int and Fraction parameters: ints give a
+bit-exact integer matrix (Python ints are arbitrary precision, so exact
+assembly never overflows), Fractions an exact rational one.  The program
+assembles it only at integer witness points, which ``certify_witness``
+checks; Fractions reach it only from the tests, where it is the oracle for
+the closed-form Jacobian of ``certify.estimate_lipschitz``.  Floats get no
+such guarantee: a window step extrapolates W samples ahead from d
 consecutive ones, which in floating point loses up to 2e-9 of a column
-when the rates crowd near 1.  The program assembles the matrix only at
-integer witness points; float (and Fraction) parameters reach it only from
-the tests, where it is the oracle for the closed-form Jacobian of
-``certify.estimate_lipschitz``.
+when the rates crowd near 1.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Optional
 
@@ -96,43 +91,29 @@ def is_prime(n: int) -> bool:
 
 
 def jacobian(params: RationalParams, W: int) -> list:
-    """(2d+1) x (2d+1) Jacobian of the window map; exact for integer params.
+    """(2d+1) x (2d+1) Jacobian of the window map; exact for int and
+    Fraction params.
 
     Row k is window k; column order is (y_0..y_d, q_1..q_d).  Each row
     combines window sums of the impulse response g and the tail response E,
-    delayed by a few samples.  For W < d the sums come from the samples
-    (``_sample_states``), from W = d on from window-level steps
-    (``_stepped_states``); the paths give the same entries.  Float
-    parameters give the exact entries rounded to floats (see the module
-    docstring).
+    delayed by a few samples, which ``_stepped_states`` gives.
     """
     if W < 1:
         raise ValueError("W must be >= 1")
     d = params.degree
-    from_floats = any(isinstance(v, float) for v in params.as_vector())
-    if from_floats:
-        params = RationalParams.from_vector(map(Fraction, params.as_vector()), d)
     q = params.recurrence
     y = params.initial
-    if W < d:
-        K = 2 * d + 1
-        _, g, tail = _responses(params, W * K)
-        states = _sample_states(g, tail, W, K, d)
-    else:
-        states = _stepped_states(params, W)
     # Weights on the g sums at delays d+1, d+2, ...: column y_a takes -q_m
     # at delay a+m, column q_j takes -y_s at delay j+s.
     y_weights = [[-q[r + d - a] for r in range(a)] for a in range(d + 1)]
     q_weights = [[-y[r + d + 1 - j] for r in range(j - 1)] for j in range(1, d + 1)]
     rows = []
-    for b, e in states:
+    for b, e in _stepped_states(params, W):
         row = [sum(map(mul, w, b)) for w in y_weights]
         row += [sum(map(mul, w, b), -v) for w, v in zip(q_weights, e)]
         rows.append(row)
     for a in range(d + 1):
         rows[a // W][a] += 1  # e_a: sample a lies in window a // W
-    if from_floats:
-        return [[float(v) for v in row] for row in rows]
     return rows
 
 
@@ -162,10 +143,11 @@ def _sample_states(g, tail, W: int, K: int, d: int) -> list:
 
 
 def _stepped_states(params: RationalParams, W: int) -> list:
-    """The pairs of ``_sample_states`` for all 2d+1 windows, for W >= d.
+    """The pairs of ``_sample_states`` for all 2d+1 windows.
 
-    Windows 0..k0, k0 = ceil(2d/W), are summed from the samples.  From there
-    three states move one window per step:
+    Windows 0..k0 are summed from the samples, with k0 = ceil(2d/W) for
+    W >= d and k0 = 2d (every window) below, where the steps do not hold.
+    From there three states move one window per step:
 
       B = (B_{t-d-1}, ..., B_{t-2d})  the g sums,     B' = C^W B,
       T = (T_{t-1}, ..., T_{t-d})     the E sums,     T' = C^W T + X Y,
@@ -178,9 +160,11 @@ def _stepped_states(params: RationalParams, W: int) -> list:
     """
     d = params.degree
     q = params.recurrence
-    k0 = -(-2 * d // W)
+    k0 = 2 * d if W < d else -(-2 * d // W)
     y, g, tail = _responses(params, W * (k0 + 1))
     states = _sample_states(g, tail, W, k0 + 1, d)
+    if k0 == 2 * d:
+        return states
     g2 = [0] * d  # d leading zeros, then g2 = g / Q = 1 / Q^2
     for v in g[: W + d - 1]:
         g2.append(v - sum(map(mul, q, g2[: -d - 1 : -1])))

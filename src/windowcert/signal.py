@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
@@ -24,14 +24,6 @@ import numpy as np
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _float_holds(v) -> bool:
-    """Whether float(v) equals v; an int beyond the float range does not."""
-    try:
-        return float(v) == v  # Python compares an int and a float exactly
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -77,16 +69,11 @@ class RationalParams:
 
 @dataclass(frozen=True)
 class WindowData:
-    """K window sums at block length W.
-
-    ``floats_exact`` says whether ``floats()`` holds every sum exactly; an
-    int sum that its float rounds, such as 2**60 + 1, makes it False.
-    """
+    """K window sums at block length W: floats, or exact ints of any size."""
 
     sums: tuple
     block_length: int
     count: int
-    floats_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sums", tuple(self.sums))
@@ -98,8 +85,6 @@ class WindowData:
         # overflow on those above ~1.8e308.
         if not all(_is_int(s) or math.isfinite(s) for s in self.sums):
             raise ValueError("window sums must be finite")
-        exact = all(not _is_int(s) or _float_holds(s) for s in self.sums)
-        object.__setattr__(self, "floats_exact", exact)
 
     def floats(self) -> list:
         """The sums as Python floats: the one float view of them, which the

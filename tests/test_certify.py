@@ -420,6 +420,21 @@ def hostile_windows(draw):
     return WindowData(sums, W, K), d, noise
 
 
+@st.composite
+def big_int_windows(draw):
+    """(windows, d, noise): int sums within 3 of +-2**e, 53 <= e <= 62, some
+    of them stored as their floats, which round the offsets away."""
+    d = draw(st.integers(1, 3))
+    K = draw(st.integers(2 * d, 12))
+    W = draw(st.integers(1, 8))
+    base = draw(st.sampled_from((-1, 1))) * 2 ** draw(st.integers(53, 62))
+    ints = draw(st.lists(st.integers(base - 3, base + 3), min_size=K, max_size=K))
+    as_float = draw(st.lists(st.booleans(), min_size=K, max_size=K))
+    sums = [float(s) if f else s for s, f in zip(ints, as_float)]
+    noise = draw(st.sampled_from((0.0, 1e-2)))
+    return WindowData(sums, W, K), d, noise
+
+
 class TestHostileSums:
     @pytest.mark.parametrize("case", HOSTILE)
     def test_flag(self, case):
@@ -438,7 +453,7 @@ class TestHostileSums:
         assert report.reconstruction.flags == frozenset()
 
     @settings(max_examples=500, deadline=None)
-    @given(st.one_of(constant_windows(), hostile_windows()))
+    @given(st.one_of(constant_windows(), hostile_windows(), big_int_windows()))
     @example(NEAR_CONSTANT)
     @example(hostile_case(INFINITE_AMPLITUDES))
     @example((WindowData((2e-6, -1e-30, 0.0, 1e-6), 2, 4), 1, 1e-6))  # a rounding tie
@@ -467,9 +482,10 @@ class TestHostileSums:
             ((2e-6, -1e-30, 0.0, 1e-6), 1e-6, (0, 1, 0.0)),  # spread 2e-6 + 1e-30
             ((2**60, 2**60 + 1, 2**60, 2**60), 0.0, (1, 0, 0.0)),  # one float
             ((2**60, 2**60 + 1, 2**60, 2**60), 1e-2, (1, 0, 0.0)),  # spread 1 > 2 eps
+            ((-(2**53) - 1, -(2**53), -(2**53), -(2**53)), 1e-2, (1, 0, 0.0)),  # at the bottom
             ((2e-6, 0.0, 0.0, 1e-6), 1e-6, None),  # an exact tie
         ],
-        ids=["float", "int", "int_beyond_noise", "exact"],
+        ids=["float", "int", "int_beyond_noise", "negative_int", "exact"],
     )
     def test_rounding_tie_decided_exactly(self, sums, noise, witness):
         # The floats do not resolve the half-range: max S - min S rounds

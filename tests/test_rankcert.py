@@ -120,8 +120,8 @@ def decaying_float_points(draw):
 
 
 blocks = st.integers(1, 12)
-# Block lengths on both sides of the crossover W = d of ``jacobian``: below
-# it the sums come from the samples, from it on from window-level steps.
+# Block lengths on both sides of the crossover W = d of ``_stepped_states``:
+# below it every sum comes from the samples, from it on most from steps.
 wide_blocks = st.integers(1, 24)
 
 
@@ -162,7 +162,9 @@ class TestAssemblyProperties:
     @settings(max_examples=150, deadline=None)
     @given(decaying_float_points(), blocks)
     def test_float_matches_propagation(self, params, W):
-        fast = np.asarray(jacobian(params, W), dtype=float)
+        # The exact Jacobian at the rationals the floats are, rounded once.
+        exact = RationalParams.from_vector(map(Fraction, params.as_vector()), params.degree)
+        fast = np.asarray(jacobian(exact, W), dtype=float)
         ref = np.asarray(_propagated_jacobian(params, W), dtype=float)
         scale = np.max(np.abs(ref), axis=0)
         # The absolute 1e-300 only admits underflow: subnormal inputs round

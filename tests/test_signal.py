@@ -125,22 +125,6 @@ class TestWindowData:
         big = 3**700
         assert WindowData((big, -big), 2, 2).sums == (big, -big)
 
-    @pytest.mark.parametrize(
-        "sums, exact",
-        [
-            ((1.5, -3.0), True),
-            ((2**60, 2**53 + 2, 0.1), True),  # ints that their floats hold
-            ((2**60 + 1, 1.0), False),
-            ((-(2**53) - 1,), False),
-            ((3**700,), False),  # beyond the float range
-        ],
-        ids=["floats", "held_ints", "rounded_int", "negative_int", "huge_int"],
-    )
-    def test_floats_exact(self, sums, exact):
-        # Whether the float view holds every sum; the pipeline decides the
-        # half-range in Fractions when it does not.
-        assert WindowData(sums, 2, len(sums)).floats_exact is exact
-
 
 class TestExponentialMixture:
     def test_validation(self):
