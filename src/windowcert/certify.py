@@ -1,17 +1,8 @@
 """Decision layer: the end-to-end pipeline and its noise bound.
 
-The pipeline takes K window sums and first measures their half-range, the
-sup-norm distance to the constant ray.  Farther than the declared noise, no
-constant is consistent with the data and the verdict is ``nonzero``, backed
-by the pair of windows that spans it.  Within the noise, the decision needs
-the model: the reconstruction step recovers an exponential sum, the pipeline
-rebuilds the positive sample configuration over the observed horizon,
-projects its log to mean zero, and weighs the summed reciprocal cost
-(``cost.certificate_value``) against ``eps_bound``, the threshold set by the
-declared noise and the Lipschitz estimate of the reconstruction.  Outcomes
-are ternary: ``nonzero``, ``zero`` (certified neutral), or ``inconclusive``
-(degenerate or unresolvable data near the constants); ``pipeline`` states
-the rule.
+``pipeline`` has the paper's shape Phi* = A o B o P: a test on the data,
+the reconstruction on the identifiability locus, and the projection and
+coercivity core, which weighs the certificate against ``eps_bound``.
 """
 from __future__ import annotations
 
@@ -19,7 +10,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -68,8 +58,8 @@ class CertReport:
     """Decision plus the evidence backing it, and the inputs of the
     threshold: declared noise, block length W and window count K (eps0 is
     ``EPS0``).  A nonzero report carries its window pair and leaves the
-    bounds None; an inconclusive one leaves them None unless the bound
-    decided it."""
+    bounds None, since its verdict reads none of them; an inconclusive one
+    leaves them None unless the bound decided it."""
 
     decision: Decision
     reconstruction: Optional[PronyModel]
@@ -194,63 +184,111 @@ def _modal_jacobian(rates, weights, W: int) -> np.ndarray:
     return np.linalg.solve(M.T, H.T).T  # J^T = M^-T H^T
 
 
-def _samples_from_model(model: PronyModel, W: int, n_samples: int):
-    """Per-sample reconstruction of the model over the report horizon.
+class Realization(NamedTuple):
+    """The positive samples y_n, n < W K, of a model on the locus, and L."""
 
-    Each window-sum node mu maps to the sample rate a = mu^(1/W) with weight
-    chosen so the geometric block sums reproduce the window amplitudes; a node
-    at 1 contributes a constant A/W per sample.  The nodes and amplitudes are
-    real floats: a model without flags has no ``complex_nodes``.  Returns
-    (rates, weights, samples), the modes y_n = sum_i w_i a_i^n and their
-    samples over n < n_samples, or None when there is no positive sample
-    realization in this family: a node <= 0, or a sample that is not positive
-    and finite.  This is the pipeline's one positivity gate.
+    samples: np.ndarray
+    lipschitz: float
+
+
+def data_test(w: WindowData, sums: list, noise_eps: float) -> Optional[NonzeroWitness]:
+    """The window pair of a ``nonzero`` verdict, or None within the noise.
+
+    Nonzero iff the half-range (max S - min S) / 2, the sup-norm distance
+    from the sums to the constant ray c * (1, ..., 1), exceeds ``noise_eps``:
+    no constant is within the noise, so this is sound for every class with
+    the constants, and no model flag can veto it.  The distance does not
+    depend on sign: finite sums are never malformed, and sums no positive
+    signal produces, such as (1, -0.5, 0.25, -0.125), read nonzero when far
+    from every constant.  The test runs on ``sums``, the floats of
+    ``w.sums``.  Rounding is monotone and 2 eps exact, so it can err only on
+    a tie (max S - min S rounds onto 2 eps) or where an extreme is an int
+    that its float does not hold; there the stored sums decide in Fractions.
     """
-    rates = []
-    weights = []
-    for mu, amp in zip(model.nodes, model.amplitudes):
-        if mu <= 0.0:
-            return None
-        if abs(mu - 1.0) <= 1e-12:
-            rates.append(1.0)
-            weights.append(amp / W)
-        else:
-            a = mu ** (1.0 / W)
-            rates.append(a)
-            weights.append(amp * (1.0 - a) / (1.0 - mu))
-    samples = exponential_sum(rates, weights, n_samples)
-    if not (samples.min() > 0.0 and samples.max() < math.inf):  # NaN fails both
+    # Python compares an int and a float exactly, so the extremes come from
+    # the stored sums, and turns extreme float differences into inf quietly.
+    hi, lo = max(w.sums), min(w.sums)
+    k_max, k_min = w.sums.index(hi), w.sums.index(lo)
+    top, bottom = sums[k_max], sums[k_min]
+    beyond = top - bottom > 2.0 * noise_eps
+    if top - bottom == 2.0 * noise_eps or top != hi or bottom != lo:
+        # Equal extremes (constant windows at zero noise) need no Fractions.
+        beyond = hi != lo and Fraction(hi) - Fraction(lo) > 2 * Fraction(noise_eps)
+    if not beyond:
         return None
-    return rates, weights, samples
+    # Halving first keeps the margin finite for sums of opposite sign near
+    # the float range.
+    return NonzeroWitness(k_max, k_min, max(top / 2.0 - bottom / 2.0 - noise_eps, 0.0))
+
+
+def reconstruct_on_locus(model: PronyModel, W: int, K: int) -> Realization | frozenset:
+    """The model's ``Realization``, or the flags that keep it off the
+    identifiability locus; failures are flags, never exceptions.
+
+    A degenerate model gives its own flags.  Otherwise its nodes and
+    amplitudes are real, and each node mu maps to the sample rate
+    a = mu^(1/W), weighted so the geometric block sums reproduce the window
+    amplitudes (a node at 1 gives the constant A/W).  This is the
+    pipeline's one positivity gate: a node <= 0, or a sample that is not
+    positive and finite, gives ``positivity``.  A singular Jacobian
+    (repeated rates, a vanishing weight) gives ``lipschitz_singular``.
+    """
+    if model.degenerate:
+        return model.flags
+    # Growing modes overflow the powers to inf (and inf * 0 to NaN); the
+    # positivity gate and the singular check turn those into flags.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = []
+        weights = []
+        for mu, amp in zip(model.nodes, model.amplitudes):
+            if mu <= 0.0:
+                return frozenset({POSITIVITY})
+            if abs(mu - 1.0) <= 1e-12:
+                rates.append(1.0)
+                weights.append(amp / W)
+            else:
+                a = mu ** (1.0 / W)
+                rates.append(a)
+                weights.append(amp * (1.0 - a) / (1.0 - mu))
+        samples = exponential_sum(rates, weights, W * K)
+        if not (samples.min() > 0.0 and samples.max() < math.inf):  # NaN fails both
+            return frozenset({POSITIVITY})
+        try:
+            return Realization(samples, estimate_lipschitz(rates, weights, W))
+        except ValueError:  # LinAlgError included
+            return frozenset({LIPSCHITZ_SINGULAR})
+
+
+def project_and_decide(realization: Realization, K: int, noise_eps: float) -> dict:
+    """The report's fields: ``zero`` iff the threshold
+    ``eps_bound(L, K, noise_eps)`` is finite and the certificate of the
+    mean-zero log of the samples is at most ``max(threshold,
+    CERTIFICATE_FLOOR)``, since an infinite bound holds every value and
+    certifies nothing; else ``inconclusive`` with ``bound_exceeded``, where
+    the report's ``bound_vacuous`` tells the two cases apart.
+    """
+    threshold = eps_bound(realization.lipschitz, K, noise_eps)
+    u = project_mean_zero(np.log(realization.samples))
+    value = certificate_value(u)
+    zero = threshold < math.inf and value <= max(threshold, CERTIFICATE_FLOOR)
+    return dict(
+        decision=Decision.ZERO if zero else Decision.INCONCLUSIVE,
+        flags=frozenset() if zero else frozenset({BOUND_EXCEEDED}),
+        certificate_value=value,
+        defect_estimate=math.sqrt(u.dot(u)),  # np.linalg.norm of a real vector
+        threshold=threshold,
+        lipschitz_estimate=realization.lipschitz,
+    )
 
 
 def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     """End-to-end certification of K window sums at declared noise level.
 
-    One rule decides, in this order, on the half-range (max S - min S) / 2,
-    the sup-norm distance from the sums to the constant ray c * (1, ..., 1):
-
-    - ``nonzero`` iff the half-range exceeds ``noise_eps``: no constant is
-      within the noise, so this is sound for every class with the constants.
-      The test is in floats, and exact where floats could mislead it: when
-      max S - min S equals 2 ``noise_eps`` in floats (a rounding tie), or
-      when an extreme sum is an int that its float does not hold, the
-      stored sums decide in Fractions.
-      It rests on the sums alone, so no model flag can veto it, and its
-      certificate is the window pair of ``NonzeroWitness``.  The distance
-      does not depend on sign: finite sums are never malformed, and sums no
-      positive signal produces, such as (1, -0.5, 0.25, -0.125), read
-      nonzero when they are far from every constant;
-    - within the noise, reconstruction failures (degenerate Prony step,
-      non-positive sample values, singular conditioning) yield
-      ``inconclusive`` with flags; they never escape as exceptions;
-    - ``zero`` iff the certificate is at most
-      ``max(eps_bound(L, K, noise_eps), CERTIFICATE_FLOOR)``;
-    - ``inconclusive`` with ``bound_exceeded`` otherwise.
-
-    Every report carries the Prony model, whose own flags stay in it for
-    observability; a nonzero report leaves the certificate, defect,
-    threshold and L None, since its verdict reads none of them.
+    Three stages decide, in order: ``data_test`` gives ``nonzero``; within
+    the noise, ``reconstruct_on_locus`` gives ``inconclusive`` with its
+    flags; on the locus, ``project_and_decide`` gives ``zero`` (certified
+    neutral) or ``inconclusive``.  Every report carries the Prony model,
+    whose own flags stay in it for observability.
 
     At ``noise_eps`` > 0 zero does not say the signal is constant: a
     constant plus a mode whose window sums stay within the noise gives the
@@ -258,7 +296,7 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     most d with real rates a_i > 0 whose window sums are within
     ``noise_eps`` of the data has certificate at most the threshold (or
     ``CERTIFICATE_FLOOR``, if larger).  That is the class
-    ``_samples_from_model`` realizes, with a = mu^(1/W).  Negative or
+    ``reconstruct_on_locus`` realizes, with a = mu^(1/W).  Negative or
     complex rates lie outside it: at even W, y_n = c (1 + b (-1)^n) has
     exactly constant windows, and its certificate grows without bound as
     b -> 1, so no finite threshold covers it.
@@ -271,52 +309,14 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
         raise ValueError(f"noise_eps={noise_eps} is outside [0, eps0={EPS0}]")
     noise_eps = float(noise_eps)  # the report's document field is a float
     sums = w.floats()
-
     model = prony_reconstruct(sums, d)
-    report = partial(CertReport, reconstruction=model, noise_eps=noise_eps, W=W, K=K)
-    # Python compares an int and a float exactly, so the extremes come from
-    # the stored sums.  Rounding is monotone and 2 eps exact, so the float
-    # test can err only on a tie or where a float does not hold an extreme;
-    # Python floats turn extreme differences into inf quietly.
-    hi, lo = max(w.sums), min(w.sums)
-    k_max, k_min = w.sums.index(hi), w.sums.index(lo)
-    top, bottom = sums[k_max], sums[k_min]
-    beyond = top - bottom > 2.0 * noise_eps
-    if top - bottom == 2.0 * noise_eps or top != hi or bottom != lo:
-        # Equal extremes (constant windows at zero noise) need no Fractions.
-        beyond = hi != lo and Fraction(hi) - Fraction(lo) > 2 * Fraction(noise_eps)
-    if beyond:
-        # Halving first keeps the margin finite for sums of opposite sign
-        # near the float range.
-        margin = max(top / 2.0 - bottom / 2.0 - noise_eps, 0.0)
-        return report(Decision.NONZERO, nonzero_witness=NonzeroWitness(k_max, k_min, margin))
-    if model.degenerate:
-        return report(Decision.INCONCLUSIVE, flags=model.flags)
-    # Growing modes overflow the powers to inf (and inf * 0 to NaN); the
-    # positivity gate and the singular check turn those into verdicts.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rebuilt = _samples_from_model(model, W, W * K)
-        if rebuilt is None:
-            return report(Decision.INCONCLUSIVE, flags=frozenset({POSITIVITY}))
-        rates, weights, samples = rebuilt
-        try:
-            lipschitz = estimate_lipschitz(rates, weights, W)
-        except ValueError:  # LinAlgError included
-            return report(Decision.INCONCLUSIVE, flags=frozenset({LIPSCHITZ_SINGULAR}))
-
-    threshold = eps_bound(lipschitz, K, noise_eps)
-    u = project_mean_zero(np.log(samples))
-    value = certificate_value(u)
-    defect_estimate = math.sqrt(u.dot(u))  # np.linalg.norm of a real vector
-    if value <= max(threshold, CERTIFICATE_FLOOR):
-        decision, flags = Decision.ZERO, frozenset()
+    witness = data_test(w, sums, noise_eps)
+    if witness is not None:
+        fields = dict(decision=Decision.NONZERO, nonzero_witness=witness)
     else:
-        decision, flags = Decision.INCONCLUSIVE, frozenset({BOUND_EXCEEDED})
-    return report(
-        decision,
-        flags=flags,
-        certificate_value=value,
-        defect_estimate=defect_estimate,
-        threshold=threshold,
-        lipschitz_estimate=lipschitz,
-    )
+        located = reconstruct_on_locus(model, W, K)
+        if isinstance(located, Realization):
+            fields = project_and_decide(located, K, noise_eps)
+        else:
+            fields = dict(decision=Decision.INCONCLUSIVE, flags=located)
+    return CertReport(reconstruction=model, noise_eps=noise_eps, W=W, K=K, **fields)

@@ -323,10 +323,12 @@ class TestPipeline:
     def test_zero_bounds_every_signal_within_noise(self, case):
         # A zero verdict claims that every positive order-d signal within
         # the noise of the data has certificate at most the threshold; the
-        # drawn y is one, since its window sums are the data.
+        # drawn y is one, since its window sums are the data.  An infinite
+        # threshold claims nothing, so it never gives zero.
         w, d, noise, y = case
         report = pipeline(w, d, noise_eps=noise)
         if report.decision is Decision.ZERO:
+            assert report.threshold < math.inf
             value = certificate_value(project_mean_zero(np.log(y)))
             assert value <= max(report.threshold, CERTIFICATE_FLOOR)
 

@@ -416,13 +416,15 @@ def _strict_json(text):
 
 class TestStrictJson:
     def test_vacuous_bound_is_null(self, tmp_path):
-        # Within the noise of a constant at d = 2, where L is about 1e10.
+        # Within the noise of a constant at d = 2, where L is about 1e10: an
+        # infinite bound certifies nothing, so the verdict is not zero.
         path = write_windows(tmp_path / "w.json", [8.0, 8.001, 8.0005, 8.0], 2)
         out = tmp_path / "r.json"
-        main(["certify", path, "-d", "2", "--noise-eps", "1e-3", "--out", str(out)])
+        assert main(["certify", path, "-d", "2", "--noise-eps", "1e-3", "--out", str(out)]) == 3
         obj = _strict_json(out.read_text())
         assert obj["threshold"] is None
         assert obj["bound_vacuous"] is True
+        assert (obj["decision"], obj["flags"]) == ("inconclusive", ["bound_exceeded"])
 
     def test_degenerate_model_conditions_are_null(self, tmp_path):
         path = write_windows(tmp_path / "w.json", [1.0, 2.0, 4.0, 8.0], 2)

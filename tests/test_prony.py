@@ -351,8 +351,10 @@ def _scalar_vandermonde_amplitudes(S, nodes):
     if len(set(nodes)) != d:
         raise ValueError("nodes must be distinct")
     vdm = np.array([[mu**k for mu in nodes] for k in range(d)])
-    sv = np.linalg.svd(vdm, compute_uv=False)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+    # Python floats, as in solve_amplitudes: an overflowing quotient is inf
+    # without a warning.
+    top, low = np.linalg.svd(vdm, compute_uv=False)[[0, -1]].tolist()
+    condition = top / low if low > 0.0 else float("inf")
     amps = np.linalg.solve(vdm, s[:d].astype(vdm.dtype))
     flags = set()
     mags = np.abs(amps)
@@ -471,6 +473,7 @@ class TestBitIdentity:
         st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=6, max_size=6),
     )
     @example((-0.75, 0.125), [1e-320, 5e-321, 0.0, 0.0, 0.0, 0.0])  # subnormal top
+    @example((2.225073858507e-311, 0.0), [0.0] * 6)  # the condition overflows
     def test_amplitudes_match_scalar_vandermonde(self, coeffs, sums):
         nodes = char_roots(coeffs)[0]
         ref_nodes = _numpy_char_roots(coeffs)[0]
