@@ -62,7 +62,7 @@ class CertReport:
     leaves them None unless the bound decided it."""
 
     decision: Decision
-    reconstruction: Optional[PronyModel]
+    reconstruction: PronyModel
     noise_eps: float
     W: int
     K: int
@@ -92,9 +92,7 @@ class CertReport:
             "nonzero_witness": self.nonzero_witness._asdict()
             if self.nonzero_witness is not None
             else None,
-            "model": self.reconstruction.to_dict()
-            if self.reconstruction is not None
-            else None,
+            "model": self.reconstruction.to_dict(),
         }
 
 

@@ -10,7 +10,8 @@ Exit codes are part of the contract:
 Each JSON document is produced by one encoder, the ``to_dict`` of its type,
 and is strict RFC 8259: non-finite floats are written as null.  Large
 integers are serialized as strings; CSV holds decimal text.
-``WINDOWCERT_LOG`` sets the log level (default WARNING).
+``WINDOWCERT_LOG`` sets the level of the ``windowcert`` logger on each call
+of ``main`` (default WARNING), whose records go to that call's stderr.
 """
 from __future__ import annotations
 
@@ -200,11 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.addHandler(handler)
     try:
         level = os.environ.get("WINDOWCERT_LOG", "WARNING").upper()
         if not isinstance(logging.getLevelName(level), int):
             raise ValueError(f"unknown WINDOWCERT_LOG level {level!r}")
-        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+        log.setLevel(level)
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
@@ -212,6 +216,8 @@ def main(argv=None) -> int:
         # package's argument checks or numpy.linalg.LinAlgError.
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

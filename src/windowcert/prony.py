@@ -17,6 +17,7 @@ within an ulp of -c), and V = [[1.0]] leaves the amplitude S_0.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -132,19 +133,21 @@ def _node_order(v):
     return (-abs(v), -v.real, -v.imag)
 
 
-def _polish_real(r, poly, dpoly):
-    """``NEWTON_STEPS`` Newton steps on the real root estimate ``r``, in
-    Python floats: the Horner sums, quotient and update of the array loop in
-    ``char_roots``, rounded alike, with no floating-point warnings."""
+def _polish(r, poly, dpoly):
+    """``NEWTON_STEPS`` Newton steps on the root estimate ``r``, a Python
+    float or complex, with the Horner sums of ``np.polyval``.  A step is
+    skipped where the derivative is zero (``den != 0``, since ``abs`` of a
+    finite complex can raise ``OverflowError``) or the step is not finite,
+    so an overflowing root is kept as is, with no floating-point warning."""
     for _ in range(NEWTON_STEPS):
         num = den = 0.0
         for c in poly:
             num = num * r + c
         for c in dpoly:
             den = den * r + c
-        if abs(den) > 0.0:
+        if den != 0:
             step = num / den
-            if math.isfinite(step):
+            if cmath.isfinite(step):
                 r = r - step
     return r
 
@@ -153,15 +156,11 @@ def char_roots(coeffs):
     """Roots of t^d + a_1 t^{d-1} + ... + a_d, Newton-polished and ordered.
 
     The estimates are the eigenvalues of the companion matrix of the
-    nonzero-trailing part, as in ``np.roots``, plus one exact zero per
-    trailing zero coefficient; each gets ``NEWTON_STEPS`` Newton steps with
-    Horner sums, as ``np.polyval`` takes them.  When the eigenvalues are real
-    (``eigvals`` returns a float array) the steps run in Python floats, whose
-    products, sums and quotients round exactly as numpy's float64 loops do;
-    complex estimates keep the numpy array loop, because numpy's complex
-    multiply may fuse multiply-adds (FMA), which Python's complex does not.
-    Ordering is by descending modulus, ties broken by descending real then
-    imaginary part.  Returns (nodes, flags).
+    nonzero-trailing part, as in ``np.roots``, plus one exact zero of the
+    same type per trailing zero coefficient; each gets ``_polish`` in Python
+    scalars, whose real products, sums and quotients round exactly as
+    numpy's float64 loops do.  Ordering is by descending modulus, ties
+    broken by descending real then imaginary part.  Returns (nodes, flags).
     """
     coeffs = tuple(coeffs)
     d = len(coeffs)
@@ -171,33 +170,10 @@ def char_roots(coeffs):
     n = max(k for k, c in enumerate(poly.tolist()) if c != 0.0)
     companion = np.eye(n, k=-1)
     companion[:1] = -poly[1 : n + 1]
-    eig = np.linalg.eigvals(companion)
-    # Trailing zero coefficients give exact zero roots, as in np.roots.
-    # Huge or subnormal coefficients can overflow the derivative, the Horner
-    # sums and the step; such a root is kept as is, and neither branch lets
-    # a floating-point warning out.
-    if eig.dtype.kind == "f":
-        poly = poly.tolist()
-        dpoly = [c * k for c, k in zip(poly, range(d, 0, -1))]
-        roots = [_polish_real(r, poly, dpoly) for r in eig.tolist() + [0.0] * (d - n)]
-    else:
-        roots = np.concatenate([eig, np.zeros(d - n)])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            dpoly = poly[:-1] * np.arange(d, 0, -1)
-            for _ in range(NEWTON_STEPS):
-                num = np.zeros_like(roots)
-                for c in poly:
-                    num = num * roots + c
-                den = np.zeros_like(roots)
-                for c in dpoly:
-                    den = den * roots + c
-                nonzero = np.abs(den) > 0.0
-                step = np.where(nonzero, num / np.where(nonzero, den, 1.0), 0.0)
-                roots = np.where(np.isfinite(step), roots - step, roots)
-        roots = roots.tolist()
-    # Python scalars: sorting and flagging only compare, subtract and take
-    # moduli, which round as in numpy.
-    roots = sorted(roots, key=_node_order)
+    estimates = np.concatenate([np.linalg.eigvals(companion), np.zeros(d - n)]).tolist()
+    poly = poly.tolist()
+    dpoly = [c * k for c, k in zip(poly, range(d, 0, -1))]
+    roots = sorted((_polish(r, poly, dpoly) for r in estimates), key=_node_order)
     flags = set()
     mags = [abs(r) for r in roots]
     top = max(mags)

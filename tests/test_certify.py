@@ -175,6 +175,17 @@ NEAR_CONSTANT = (
     ),
     1, 1e-6,
 )
+# Likewise at the top of the noise range: certificate 6.26e-3 on a finite
+# threshold of 2.18e-3.
+NEAR_CONSTANT_WIDE = (
+    WindowData(
+        (3.045992098170623, 3.02984409589434, 3.0442248883350165, 3.0298339294468604,
+         3.0441057629586816, 3.029672974286338, 3.039738706411126, 3.0398592819570833,
+         3.038795558774842, 3.0349178956922374, 3.0301673635304156),
+        4, 11,
+    ),
+    1, 1e-2,
+)
 
 
 @st.composite
@@ -307,6 +318,7 @@ class TestPipeline:
     @settings(max_examples=500, deadline=None)
     @given(constant_windows())
     @example(NEAR_CONSTANT)
+    @example(NEAR_CONSTANT_WIDE)
     def test_nonzero_only_beyond_noise_from_constants(self, case):
         w, d, noise = case
         report = pipeline(w, d, noise_eps=noise)
@@ -317,6 +329,11 @@ class TestPipeline:
             assert report.decision is not Decision.NONZERO
         if report.certificate_value is not None:
             assert (report.decision is Decision.NONZERO) == (spread > 2 * noise)
+            # Zero exactly when a finite threshold bounds the certificate.
+            value, threshold = report.certificate_value, report.threshold
+            zero = threshold < math.inf and value <= max(threshold, CERTIFICATE_FLOOR)
+            assert report.decision is (Decision.ZERO if zero else Decision.INCONCLUSIVE)
+            assert report.flags == (frozenset() if zero else {BOUND_EXCEEDED})
 
     @settings(max_examples=300, deadline=None)
     @given(constant_plus_mode())

@@ -1,9 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import windowcert
 from windowcert.certify import EPS0, eps_bound
 from windowcert.cli import _emit_json, main
 from windowcert.signal import WindowData
@@ -16,6 +21,9 @@ from reference_data import (
 from test_certify import HOSTILE, INFINITE_AMPLITUDES, NEAR_CONSTANT, NEAR_HOSTILE
 
 WITNESS_PI0 = "1 1 5 1 2 2 -2"
+# A witness search with no trials: exit 3 and one WARNING record.
+EXHAUSTED_SEARCH = ["witness", "-d", "2", "-W", "3", "--search", "--bound", "1",
+                    "--max-trials", "0"]
 
 
 def write_windows(path, sums, W):
@@ -612,6 +620,37 @@ class TestReusedParserAndValidators:
         assert json.loads(report.read_text())["threshold"] > 0.0
         assert main(["certify", path, "-d", "1", "--out", str(report)]) == 0
         assert json.loads(report.read_text())["threshold"] == 0.0
+
+    @pytest.mark.parametrize("levels,warnings", [
+        (("WARNING", "ERROR"), [1, 0]),
+        (("ERROR", "WARNING"), [0, 1]),
+    ])
+    def test_log_level_applies_on_every_call(self, levels, warnings):
+        # In a fresh process, as a host calls main: each call logs at its own
+        # WINDOWCERT_LOG level, to the stderr of the process, and leaves no
+        # handler on the root logger.
+        script = (
+            "import logging, os, sys\n"
+            "from windowcert.cli import main\n"
+            "for level in sys.argv[1:]:\n"
+            "    os.environ['WINDOWCERT_LOG'] = level\n"
+            f"    assert main({EXHAUSTED_SEARCH!r}) == 3\n"
+            "    sys.stderr.write('--\\n')\n"
+            "print(len(logging.getLogger().handlers))\n"
+        )
+        src = str(Path(windowcert.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "WINDOWCERT_LOG"}
+        env["PYTHONPATH"] = src
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *levels],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        calls = proc.stderr.split("--\n")[:-1]
+        line = "WARNING windowcert: witness search exhausted after 0 trials\n"
+        assert [err.count(line) for err in calls] == warnings
+        assert [len(err) for err in calls] == [len(line) * n for n in warnings]
+        assert proc.stdout == "0\n"
 
 
 def test_roundtrip_windows_to_certify(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -20,6 +21,7 @@ from windowcert.prony import (
     ZERO_NODE,
     ZERO_NODE_RATIO,
     PronyModel,
+    _polish,
     char_roots,
     prony_reconstruct,
     solve_amplitudes,
@@ -81,6 +83,12 @@ class TestCharRoots:
     @pytest.mark.parametrize("coeffs", _REAL_POLISH)
     def test_real_polish_cases_have_real_eigenvalues(self, coeffs):
         assert np.roots((1.0, *coeffs)).dtype == np.float64
+
+    def test_polish_keeps_a_root_past_the_float_range(self):
+        # The derivative 2r is finite, yet its modulus overflows, so abs()
+        # would raise; the step is not finite, and r is kept.
+        r = complex(7.5e307, 7.5e307)
+        assert _polish(r, [1.0, 0.0, 0.0], [2.0, 0.0]) == r
 
     def test_quadratic(self):
         nodes, flags = char_roots((-5.0, 6.0))
@@ -309,18 +317,38 @@ def _list_hankel_coeffs(S, d):
     return tuple(float(c) for c in coeffs), condition, flags
 
 
+def _scalar_newton(r, poly, dpoly):
+    """Newton steps on one Python float or complex, one ``polyval``
+    coefficient at a time."""
+    for _ in range(NEWTON_STEPS):
+        num = functools.reduce(lambda acc, c: acc * r + c, poly, 0.0)
+        den = functools.reduce(lambda acc, c: acc * r + c, dpoly, 0.0)
+        if den == 0:
+            continue
+        step = num / den
+        if math.isfinite(step.real) and math.isfinite(step.imag):
+            r -= step
+    return r
+
+
 def _numpy_char_roots(coeffs):
+    """Real estimates take numpy's float64 ``polyval`` loop; complex ones are
+    polished one at a time in Python scalars, since numpy's complex multiply
+    may fuse multiply-adds."""
     d = len(coeffs)
     poly = np.concatenate([[1.0], np.asarray(coeffs, dtype=float)])
     roots = np.roots(poly)
     dpoly = np.polyder(poly)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(NEWTON_STEPS):
-            num = np.polyval(poly, roots)
-            den = np.polyval(dpoly, roots)
-            safe = np.where(np.abs(den) > 0.0, den, 1.0)
-            step = np.where(np.abs(den) > 0.0, num / safe, 0.0)
-            roots = np.where(np.isfinite(step), roots - step, roots)
+    if np.iscomplexobj(roots):
+        roots = [_scalar_newton(r, poly.tolist(), dpoly.tolist()) for r in roots.tolist()]
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(NEWTON_STEPS):
+                num = np.polyval(poly, roots)
+                den = np.polyval(dpoly, roots)
+                safe = np.where(np.abs(den) > 0.0, den, 1.0)
+                step = np.where(np.abs(den) > 0.0, num / safe, 0.0)
+                roots = np.where(np.isfinite(step), roots - step, roots)
     roots = sorted(
         roots, key=lambda v: (-abs(complex(v)), -complex(v).real, -complex(v).imag)
     )
