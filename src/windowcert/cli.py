@@ -11,7 +11,8 @@ Each JSON document is produced by one encoder, the ``to_dict`` of its type,
 and is strict RFC 8259: non-finite floats are written as null.  Large
 integers are serialized as strings; CSV holds decimal text.
 ``WINDOWCERT_LOG`` sets the level of the ``windowcert`` logger on each call
-of ``main`` (default WARNING), whose records go to that call's stderr.
+of ``main`` (default WARNING), whose records go to that call's stderr and do
+not propagate to the root logger.
 """
 from __future__ import annotations
 
@@ -204,6 +205,7 @@ def main(argv=None) -> int:
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     log.addHandler(handler)
+    log.propagate = False  # the records go to this handler alone
     try:
         level = os.environ.get("WINDOWCERT_LOG", "WARNING").upper()
         if not isinstance(logging.getLevelName(level), int):
@@ -218,6 +220,7 @@ def main(argv=None) -> int:
         return 2
     finally:
         log.removeHandler(handler)
+        log.propagate = True
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -79,11 +80,12 @@ class PronyModel:
         }
 
 
-def _sums(S) -> np.ndarray:
-    return np.asarray(S.floats() if isinstance(S, WindowData) else S, dtype=float)
+def _sums(S) -> list:
+    """The sums as a list of Python floats."""
+    return S.floats() if isinstance(S, WindowData) else list(map(float, S))
 
 
-def _hankel_sums(S, d: int) -> np.ndarray:
+def _hankel_sums(S, d: int) -> list:
     """The sums as floats, checked to hold the 2d that a d x d Hankel system reads."""
     s = _sums(S)
     if d < 1:
@@ -103,12 +105,12 @@ def solve_recurrence_coeffs(S, d: int):
     too.
     """
     s = _hankel_sums(S, d)
-    i = np.arange(d)
-    hankel = s[i[:, None] + i]
+    hankel = np.array([s[k : k + d] for k in range(d)])
     # Row k of the solve matrix is (S_{k+d-1}, ..., S_k): the Hankel row reversed.
     lhs = hankel[:, ::-1]
-    rhs = -s[d : 2 * d]
-    top, low = np.linalg.svd(hankel, compute_uv=False)[[0, -1]].tolist()
+    rhs = np.array([-v for v in s[d : 2 * d]])
+    sv = np.linalg.svd(hankel, compute_uv=False).tolist()
+    top, low = sv[0], sv[-1]
     condition = top / low if low > 0.0 else math.inf
     flags = set()
     coeffs = None
@@ -129,7 +131,6 @@ def solve_recurrence_coeffs(S, d: int):
 
 
 def _node_order(v):
-    v = complex(v)
     return (-abs(v), -v.real, -v.imag)
 
 
@@ -166,14 +167,18 @@ def char_roots(coeffs):
     d = len(coeffs)
     if d == 0:
         raise ValueError("need at least one coefficient")
-    poly = np.array((1.0, *coeffs), dtype=float)
-    n = max(k for k, c in enumerate(poly.tolist()) if c != 0.0)
-    companion = np.eye(n, k=-1)
-    companion[:1] = -poly[1 : n + 1]
-    estimates = np.concatenate([np.linalg.eigvals(companion), np.zeros(d - n)]).tolist()
-    poly = poly.tolist()
+    poly = [1.0, *map(float, coeffs)]
+    n = d
+    while poly[n] == 0.0:  # poly[0] = 1
+        n -= 1
+    estimates = [0.0] * d
+    if n:  # a 0 x 0 companion matrix has no eigenvalues
+        companion = [[-c for c in poly[1 : n + 1]]]
+        companion += ([0.0] * k + [1.0] + [0.0] * (n - k - 1) for k in range(n - 1))
+        eig = np.linalg.eigvals(np.array(companion))
+        estimates = eig.tolist() + [0j if eig.dtype.kind == "c" else 0.0] * (d - n)
     dpoly = [c * k for c, k in zip(poly, range(d, 0, -1))]
-    roots = sorted((_polish(r, poly, dpoly) for r in estimates), key=_node_order)
+    roots = sorted([_polish(r, poly, dpoly) for r in estimates], key=_node_order)
     flags = set()
     mags = [abs(r) for r in roots]
     top = max(mags)
@@ -182,13 +187,10 @@ def char_roots(coeffs):
         # and an exact zero or repeated node must still be flagged.
         if min(mags) <= ZERO_NODE_RATIO * top:
             flags.add(ZERO_NODE)
-        min_sep = min(
-            (abs(roots[i] - roots[j]) for i in range(d) for j in range(i + 1, d)),
-            default=math.inf,
-        )
+        min_sep = min((abs(a - b) for a, b in combinations(roots, 2)), default=math.inf)
         if min_sep <= NODE_SEPARATION * top:
             flags.add(REPEATED_NODES)
-        if any(abs(r.imag) > IMAG_RATIO * abs(r) for r in roots):
+        if any(abs(r.imag) > IMAG_RATIO * m for r, m in zip(roots, mags)):
             flags.add(COMPLEX_NODES)
     else:
         flags.add(ZERO_NODE)
@@ -211,10 +213,13 @@ def solve_amplitudes(S, nodes):
     if len(set(nodes)) != d:
         raise ValueError("nodes must be distinct")
     vdm = np.array([[mu**k for mu in nodes] for k in range(d)])
-    top, low = np.linalg.svd(vdm, compute_uv=False)[[0, -1]].tolist()
+    sv = np.linalg.svd(vdm, compute_uv=False).tolist()
+    top, low = sv[0], sv[-1]
     condition = top / low if low > 0.0 else math.inf
-    amps = np.linalg.solve(vdm, s[:d].astype(vdm.dtype))
+    amps = np.linalg.solve(vdm, np.array(s[:d], dtype=vdm.dtype))
     flags = set()
+    # The modulus from numpy, not abs(): abs() of a finite complex can raise
+    # OverflowError, and it rounds some moduli an ulp apart from numpy.
     mags = np.abs(amps).tolist()
     # inf/NaN from an overflowed solve; <= as the threshold underflows to 0.
     if not all(map(math.isfinite, mags)) or min(mags) <= ZERO_AMPLITUDE_RATIO * max(mags):
@@ -235,7 +240,7 @@ def prony_reconstruct(S, d: int) -> PronyModel:
     """
     s = _hankel_sums(S, d)
     if d == 1:  # the order-one closed form
-        s0, s1 = s[:2].tolist()
+        s0, s1 = s[:2]
         c = -s1 / s0 if s0 != 0.0 else 0.0
         if c != 0.0 and math.isfinite(c):
             return PronyModel(

@@ -61,15 +61,30 @@ from .signal import ExponentialMixture, RationalParams, block_sums
 from .signal import generate_sequence, mixture_window_params
 from .signal import window_sums  # noqa: F401  (bench/tracing.py rebinds rankcert.window_sums)
 
-# Witness bases make Miller-Rabin deterministic below 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first k primes as bases is exact below psi_k, the
+# least strong pseudoprime to all of them (Jaeschke 1993, Math. Comp.
+# 61(204); Sorenson & Webster 2017, Math. Comp. 86(304)).  psi_4 =
+# 151 * 751 * 28351 passes the bases 2, 3, 5 and 7, so both bounds are strict.
+_MR_SMALL_BASES = (2, 3, 5, 7)
+_MR_SMALL_BOUND = 3_215_031_751  # psi_4
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981  # psi_13
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for moduli used in certificates."""
+    """Deterministic Miller-Rabin for moduli used in certificates.
+
+    Exact for n below psi_13 = 3317044064679887385961981; raises ValueError
+    at or above it, where no base set here is known to be exact.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError(
+            f"modulus {n} is at or above {_MR_BOUND}, where primality is not deterministic"
+        )
     if n < 2:
         return False
-    for p in _MR_BASES:
+    bases = _MR_SMALL_BASES if n < _MR_SMALL_BOUND else _MR_BASES
+    for p in bases:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -77,7 +92,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

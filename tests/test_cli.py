@@ -123,6 +123,15 @@ class TestWitness:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("prime,message", [
+        ("318665857834031151167461", "not prime"),  # a strong pseudoprime to 2..37
+        ("3317044064679887385961981", "not deterministic"),  # and to 2..41
+    ])
+    def test_modulus_outside_deterministic_range(self, capsys, prime, message):
+        argv = ["witness", "-d", "3", "-W", "8", "--pi0", "1 1 5 1 2 2 -2", "--prime", prime]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_search_finds(self, tmp_path):
         out = tmp_path / "c.json"
         rc = main(["witness", "-d", "2", "-W", "3", "--search", "--out", str(out)])
@@ -651,6 +660,26 @@ class TestReusedParserAndValidators:
         assert [err.count(line) for err in calls] == warnings
         assert [len(err) for err in calls] == [len(line) * n for n in warnings]
         assert proc.stdout == "0\n"
+
+    def test_records_do_not_propagate(self):
+        # A host that configured the root logger gets each record once, from
+        # main's own handler, and the logger propagates again after the call.
+        script = (
+            "import logging\n"
+            "from windowcert.cli import main\n"
+            "logging.basicConfig(format='host: %(message)s')\n"
+            f"assert main({EXHAUSTED_SEARCH!r}) == 3\n"
+            "print(logging.getLogger('windowcert').propagate)\n"
+        )
+        src = str(Path(windowcert.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "WINDOWCERT_LOG"}
+        env["PYTHONPATH"] = src
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "WARNING windowcert: witness search exhausted after 0 trials\n"
+        assert proc.stdout == "True\n"
 
 
 def test_roundtrip_windows_to_certify(tmp_path):

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import functools
 import json
@@ -573,3 +574,150 @@ class TestBitIdentity:
             assert _exact(solve_amplitudes, sums, char_roots(coeffs)[0]) == _exact(
                 _scalar_vandermonde_amplitudes, sums, _numpy_char_roots(coeffs)[0]
             )
+
+
+# The three stages as they stood when their numpy glue (fancy-indexed Hankel
+# matrix, np.eye companion, np.concatenate padding, array slices of the sums)
+# was replaced by matrices built from Python floats.  Frozen here, with the
+# Newton polish they used, as the reference of the whole-model property: the
+# rewrite keeps every LAPACK call and its input, so every model is the same.
+
+
+def _frozen_sums(S):
+    return np.asarray(S.floats() if isinstance(S, WindowData) else S, dtype=float)
+
+
+def _frozen_recurrence_coeffs(S, d):
+    s = _frozen_sums(S)
+    i = np.arange(d)
+    hankel = s[i[:, None] + i]
+    lhs = hankel[:, ::-1]
+    rhs = -s[d : 2 * d]
+    top, low = np.linalg.svd(hankel, compute_uv=False)[[0, -1]].tolist()
+    condition = top / low if low > 0.0 else math.inf
+    flags = set()
+    coeffs = None
+    if not low <= SINGULAR_RATIO * top:
+        try:
+            coeffs = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    if coeffs is None:
+        flags.add(HANKEL_SINGULAR)
+        coeffs = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    coeffs = tuple(coeffs.tolist())
+    if not all(map(math.isfinite, coeffs)):
+        flags.add(HANKEL_SINGULAR)
+    return coeffs, condition, flags
+
+
+def _frozen_polish(r, poly, dpoly):
+    for _ in range(NEWTON_STEPS):
+        num = den = 0.0
+        for c in poly:
+            num = num * r + c
+        for c in dpoly:
+            den = den * r + c
+        if den != 0:
+            step = num / den
+            if cmath.isfinite(step):
+                r = r - step
+    return r
+
+
+def _frozen_node_order(v):
+    v = complex(v)
+    return (-abs(v), -v.real, -v.imag)
+
+
+def _frozen_char_roots(coeffs):
+    coeffs = tuple(coeffs)
+    d = len(coeffs)
+    poly = np.array((1.0, *coeffs), dtype=float)
+    n = max(k for k, c in enumerate(poly.tolist()) if c != 0.0)
+    companion = np.eye(n, k=-1)
+    companion[:1] = -poly[1 : n + 1]
+    estimates = np.concatenate([np.linalg.eigvals(companion), np.zeros(d - n)]).tolist()
+    poly = poly.tolist()
+    dpoly = [c * k for c, k in zip(poly, range(d, 0, -1))]
+    roots = sorted((_frozen_polish(r, poly, dpoly) for r in estimates), key=_frozen_node_order)
+    flags = set()
+    mags = [abs(r) for r in roots]
+    top = max(mags)
+    if top > 0.0:
+        if min(mags) <= ZERO_NODE_RATIO * top:
+            flags.add(ZERO_NODE)
+        min_sep = min(
+            (abs(roots[i] - roots[j]) for i in range(d) for j in range(i + 1, d)),
+            default=math.inf,
+        )
+        if min_sep <= NODE_SEPARATION * top:
+            flags.add(REPEATED_NODES)
+        if any(abs(r.imag) > IMAG_RATIO * abs(r) for r in roots):
+            flags.add(COMPLEX_NODES)
+    else:
+        flags.add(ZERO_NODE)
+    if COMPLEX_NODES not in flags:
+        roots = [r.real for r in roots]
+    return tuple(roots), flags
+
+
+def _frozen_amplitudes(S, nodes):
+    s = _frozen_sums(S)
+    nodes = tuple(nodes)
+    d = len(nodes)
+    vdm = np.array([[mu**k for mu in nodes] for k in range(d)])
+    top, low = np.linalg.svd(vdm, compute_uv=False)[[0, -1]].tolist()
+    condition = top / low if low > 0.0 else math.inf
+    amps = np.linalg.solve(vdm, s[:d].astype(vdm.dtype))
+    flags = set()
+    mags = np.abs(amps).tolist()
+    if not all(map(math.isfinite, mags)) or min(mags) <= ZERO_AMPLITUDE_RATIO * max(mags):
+        flags.add(ZERO_AMPLITUDE)
+    return tuple(amps.tolist()), condition, flags
+
+
+def _frozen_reconstruct(S, d):
+    """The staged model at d >= 2 from the frozen stages."""
+    s = _frozen_sums(S)
+    coeffs, hankel_condition, flags = _frozen_recurrence_coeffs(s, d)
+    nodes, amps, vdm_condition = (), (), math.inf
+    if HANKEL_SINGULAR not in flags:
+        nodes, root_flags = _frozen_char_roots(coeffs)
+        flags |= root_flags
+    if not flags & {HANKEL_SINGULAR, REPEATED_NODES, ZERO_NODE}:
+        amps, vdm_condition, amp_flags = _frozen_amplitudes(s, nodes)
+        flags |= amp_flags
+    return PronyModel(nodes, amps, coeffs, hankel_condition, vdm_condition, frozenset(flags))
+
+
+@st.composite
+def window_sums(draw):
+    """(sums, d), d in 2..4: free floats, or 2d..2d+3 terms of a sum of d
+    real exponentials, which reach the amplitude stage."""
+    d = draw(st.integers(2, 4))
+    K = draw(st.integers(2 * d, 2 * d + 3))
+    if draw(st.booleans()):
+        return draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=K, max_size=K)), d
+    nodes = draw(st.lists(_VALUE, min_size=d, max_size=d))
+    amps = draw(st.lists(_VALUE, min_size=d, max_size=d))
+    return [sum(a * mu**k for a, mu in zip(amps, nodes)) for k in range(K)], d
+
+
+class TestWholeModelBitIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(window_sums())
+    @example(((2.0, 0.5, 0.25, 0.125), 2))  # a trailing -0.0 coefficient
+    @example(((3.0, 0.0, -2.0, 0.0, 2.0, 0.0), 3))  # +-i and a trailing zero: node 0j
+    @example(((1e-320, 5e-321, 2.5e-321, 1.25e-321), 2))  # subnormal sums
+    @example(([1.0, 0.5, -1.0, -0.5, 1.0, 0.5], 2))  # complex nodes
+    @example(((3.7723159779526037e304, 1.1500854639673596e306,
+               -2.136761625580864e267, -1.1603507147846136e274), 2))  # amplitudes inf and NaN
+    # Finite complex amplitudes whose modulus overflows, where abs() raises.
+    @example(((-1.50397739893048e294, 4.915901881687426e307, 4.193311979774065e299,
+               -7.293028889271351e300, -3.5753790823561725e304, 6.515294259617652e302), 3))
+    def test_model_matches_frozen_stages(self, case):
+        sums, d = case
+        model, frozen = prony_reconstruct(sums, d), _frozen_reconstruct(sums, d)
+        assert model.to_dict() == frozen.to_dict()
+        assert _exact(lambda: model) == _exact(lambda: frozen)

@@ -29,6 +29,11 @@ from reference_data import (
 
 WITNESS = RationalParams.from_vector(WITNESS_VECTOR, WITNESS_D)
 
+# The least strong pseudoprimes to the first 4, 12 and 13 primes as bases.
+PSI_4 = 3215031751
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
 
 class TestIsPrime:
     def test_small_values(self):
@@ -42,6 +47,19 @@ class TestIsPrime:
     def test_carmichael(self):
         assert not is_prime(561)
         assert not is_prime(41041)
+
+    def test_strong_pseudoprimes_to_the_first_primes(self):
+        # psi_4 passes the bases 2, 3, 5 and 7, and psi_12 the twelve primes
+        # up to 37; each is tested with more bases.
+        assert not is_prime(PSI_4)
+        assert not is_prime(PSI_12)
+        assert PSI_12 == 399165290221 * 798330580441
+
+    def test_beyond_the_deterministic_range(self):
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            is_prime(PSI_13)
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            is_prime(10**30)
 
 
 class TestJacobian:
@@ -298,14 +316,16 @@ class TestCertifyWitness:
         [
             ({"W": 0}, "W must be >= 1"),
             ({"p": 4}, "not prime"),
+            ({"p": PSI_12}, "not prime"),
+            ({"p": PSI_13}, "not deterministic"),
             ({"jacobian": [[1]]}, "jacobian must be 7 x 7"),
             ({"jacobian": [["1"] * 7] * 6 + [["1"] * 6]}, "jacobian must be 7 x 7"),
             ({"det_mod_p": PRIME}, "outside"),
             ({"det_mod_p": -1}, "outside"),
             ({"W": 0, "p": 4, "jacobian": [[1]], "det_mod_p": 7}, "W must be >= 1"),
         ],
-        ids=["W", "prime", "jacobian_rows", "jacobian_columns", "residue_high",
-             "residue_negative", "all_wrong"],
+        ids=["W", "prime", "strong_pseudoprime", "beyond_range", "jacobian_rows",
+             "jacobian_columns", "residue_high", "residue_negative", "all_wrong"],
     )
     def test_invalid_document_rejected(self, edit, message):
         # A certificate document is outside input: decoding checks what the
