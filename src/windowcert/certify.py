@@ -189,7 +189,7 @@ class Realization(NamedTuple):
     lipschitz: float
 
 
-def data_test(w: WindowData, sums: list, noise_eps: float) -> Optional[NonzeroWitness]:
+def data_test(w: WindowData, noise_eps: float) -> Optional[NonzeroWitness]:
     """The window pair of a ``nonzero`` verdict, or None within the noise.
 
     Nonzero iff the half-range (max S - min S) / 2, the sup-norm distance
@@ -198,16 +198,16 @@ def data_test(w: WindowData, sums: list, noise_eps: float) -> Optional[NonzeroWi
     the constants, and no model flag can veto it.  The distance does not
     depend on sign: finite sums are never malformed, and sums no positive
     signal produces, such as (1, -0.5, 0.25, -0.125), read nonzero when far
-    from every constant.  The test runs on ``sums``, the floats of
-    ``w.sums``.  Rounding is monotone and 2 eps exact, so it can err only on
-    a tie (max S - min S rounds onto 2 eps) or where an extreme is an int
-    that its float does not hold; there the stored sums decide in Fractions.
+    from every constant.  The test compares the floats of the extremes, which
+    the reconstruction has checked.  Rounding is monotone and 2 eps exact, so
+    it can err only on a tie (max S - min S rounds onto 2 eps) or where an
+    extreme is an int its float does not hold; there Fractions decide.
     """
     # Python compares an int and a float exactly, so the extremes come from
     # the stored sums, and turns extreme float differences into inf quietly.
     hi, lo = max(w.sums), min(w.sums)
     k_max, k_min = w.sums.index(hi), w.sums.index(lo)
-    top, bottom = sums[k_max], sums[k_min]
+    top, bottom = float(hi), float(lo)
     beyond = top - bottom > 2.0 * noise_eps
     if top - bottom == 2.0 * noise_eps or top != hi or bottom != lo:
         # Equal extremes (constant windows at zero noise) need no Fractions.
@@ -306,9 +306,8 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
     if not 0.0 <= noise_eps <= EPS0:  # also rejects NaN, which no comparison admits
         raise ValueError(f"noise_eps={noise_eps} is outside [0, eps0={EPS0}]")
     noise_eps = float(noise_eps)  # the report's document field is a float
-    sums = w.floats()
-    model = prony_reconstruct(sums, d)
-    witness = data_test(w, sums, noise_eps)
+    model = prony_reconstruct(w, d)  # raises first on a sum beyond the float range
+    witness = data_test(w, noise_eps)
     if witness is not None:
         fields = dict(decision=Decision.NONZERO, nonzero_witness=witness)
     else:

@@ -4,7 +4,8 @@ Exit codes are part of the contract:
   0  success (certify: zero verdict; witness: nonzero determinant)
   1  conclusive negative (certify: nonzero; witness: singular; reconstruct:
      degenerate flags)
-  2  malformed input or invalid configuration
+  2  malformed input or invalid configuration, a windows document nested
+     too deep to decode included, or an allocation the machine refuses
   3  inconclusive outcome / search exhaustion
 
 Each JSON document is produced by one encoder, the ``to_dict`` of its type,
@@ -55,8 +56,9 @@ def _load_windows(path: str) -> WindowData:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return WindowData.from_dict(json.loads(text))
-    except ValueError as exc:
-        # json.JSONDecodeError is a ValueError.
+    except (ValueError, RecursionError) as exc:
+        # json.JSONDecodeError is a ValueError; nesting deeper than the
+        # decoder's recursion limit raises RecursionError.
         raise ValueError(f"malformed windows file {path}: {exc}") from exc
 
 
@@ -213,10 +215,10 @@ def main(argv=None) -> int:
         log.setLevel(level)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
-        # Bad input or configuration, from the CLI's own checks, the
-        # package's argument checks or numpy.linalg.LinAlgError.
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, MemoryError) as exc:
+        # Bad input or configuration (the CLI's and the package's checks,
+        # numpy.linalg.LinAlgError), or an allocation the machine refuses.
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 2
     finally:
         log.removeHandler(handler)

@@ -95,6 +95,12 @@ def _hankel_sums(S, d: int) -> list:
     return s
 
 
+def _singular_extremes(m):
+    """The largest and smallest singular values of m, and their ratio."""
+    sv = np.linalg.svd(m, compute_uv=False).tolist()
+    return sv[0], sv[-1], (sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf)
+
+
 def solve_recurrence_coeffs(S, d: int):
     """Monic characteristic coefficients (a_1..a_d) of the window-sum recurrence.
 
@@ -109,9 +115,7 @@ def solve_recurrence_coeffs(S, d: int):
     # Row k of the solve matrix is (S_{k+d-1}, ..., S_k): the Hankel row reversed.
     lhs = hankel[:, ::-1]
     rhs = np.array([-v for v in s[d : 2 * d]])
-    sv = np.linalg.svd(hankel, compute_uv=False).tolist()
-    top, low = sv[0], sv[-1]
-    condition = top / low if low > 0.0 else math.inf
+    top, low, condition = _singular_extremes(hankel)
     flags = set()
     coeffs = None
     # At or below: the threshold underflows to 0 below a subnormal top, and
@@ -213,9 +217,7 @@ def solve_amplitudes(S, nodes):
     if len(set(nodes)) != d:
         raise ValueError("nodes must be distinct")
     vdm = np.array([[mu**k for mu in nodes] for k in range(d)])
-    sv = np.linalg.svd(vdm, compute_uv=False).tolist()
-    top, low = sv[0], sv[-1]
-    condition = top / low if low > 0.0 else math.inf
+    condition = _singular_extremes(vdm)[2]
     amps = np.linalg.solve(vdm, np.array(s[:d], dtype=vdm.dtype))
     flags = set()
     # The modulus from numpy, not abs(): abs() of a finite complex can raise

@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .signal import ExponentialMixture, RationalParams, block_sums
+from .signal import ExponentialMixture, RationalParams, block_sums, extend_recurrence
 from .signal import generate_sequence, mixture_window_params
 from .signal import window_sums  # noqa: F401  (bench/tracing.py rebinds rankcert.window_sums)
 
@@ -65,10 +65,10 @@ from .signal import window_sums  # noqa: F401  (bench/tracing.py rebinds rankcer
 # least strong pseudoprime to all of them (Jaeschke 1993, Math. Comp.
 # 61(204); Sorenson & Webster 2017, Math. Comp. 86(304)).  psi_4 =
 # 151 * 751 * 28351 passes the bases 2, 3, 5 and 7, so both bounds are strict.
-_MR_SMALL_BASES = (2, 3, 5, 7)
-_MR_SMALL_BOUND = 3_215_031_751  # psi_4
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981  # psi_13
+_MR_SMALL_BASES = _MR_BASES[:4]
+_MR_SMALL_BOUND = 3_215_031_751  # psi_4
 
 
 def is_prime(n: int) -> bool:
@@ -139,13 +139,8 @@ def _responses(params: RationalParams, n: int):
     d = params.degree
     q = params.recurrence
     y = generate_sequence(params, n - 2)
-    # x[:-d-1:-1] is (x_{t-1}, ..., x_{t-d}), paired with (q_1, ..., q_d).
-    g = [0] * d + [1]  # d leading zeros, then g_0
-    for _ in range(n - d - 2):
-        g.append(-sum(map(mul, q, g[: -d - 1 : -1])))
-    tail = [0] * (2 * d)  # d leading zeros, then E_0..E_{d-1} = 0
-    for t in range(d, n - 1):
-        tail.append(y[t] - sum(map(mul, q, tail[: -d - 1 : -1])))
+    g = extend_recurrence(q, [0] * d + [1], [0] * (n - d - 2))  # d zeros, then g_0
+    tail = extend_recurrence(q, [0] * (2 * d), y[d : n - 1])  # d zeros, then E_0..E_{d-1} = 0
     return y, g[d:], tail[d:]
 
 
@@ -180,9 +175,7 @@ def _stepped_states(params: RationalParams, W: int) -> list:
     states = _sample_states(g, tail, W, k0 + 1, d)
     if k0 == 2 * d:
         return states
-    g2 = [0] * d  # d leading zeros, then g2 = g / Q = 1 / Q^2
-    for v in g[: W + d - 1]:
-        g2.append(v - sum(map(mul, q, g2[: -d - 1 : -1])))
+    g2 = extend_recurrence(q, [0] * d, g[: W + d - 1])  # d zeros, then g/Q = 1/Q^2
     power = _step_matrix(q, g, W)
     coupled = [a + b for a, b in zip(power, _step_matrix(q, g2[d:], W))]
     b_state, e_state = states[-1]

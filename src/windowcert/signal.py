@@ -2,12 +2,12 @@
 
 A degree-d rational signal is parameterized by initial values (y_0..y_d) and
 recurrence coefficients (q_1..q_d); for n >= d+1 it satisfies
-y_n = -(q_1 y_{n-1} + ... + q_d y_{n-d}).  The observable is the vector of
-W-block window sums S_k = sum_{j<W} y_{Wk+j}, which ``block_sums`` computes,
-also for delayed sequences (the Jacobian assembly in ``rankcert``).  The
-window nodes and amplitudes of an exponential mixture come from
-``mixture_window_params``, and the samples of any exponential sum
-y_n = sum_i w_i a_i^n from ``exponential_sum``.
+y_n = -(q_1 y_{n-1} + ... + q_d y_{n-d}), run by ``extend_recurrence`` (also
+for the response sequences of ``rankcert``).  The observable is the vector
+of W-block window sums S_k = sum_{j<W} y_{Wk+j}, from ``block_sums``, also
+for delayed sequences.  The window nodes and amplitudes of an exponential
+mixture come from ``mixture_window_params``, and the samples of any
+exponential sum y_n = sum_i w_i a_i^n from ``exponential_sum``.
 
 Sequence generation runs in exact integer arithmetic when every parameter is
 an integer (Python ints never overflow), and in double precision otherwise.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import mul
 
 import numpy as np
@@ -130,21 +131,23 @@ class WindowData:
 
 
 def generate_sequence(params: RationalParams, n_max: int) -> list:
-    """Iterate the recurrence to produce y_0..y_{n_max}.
-
-    Entries 0..d are the initial values verbatim; from n = d+1 on,
-    y_n = -(q_1 y_{n-1} + ... + q_d y_{n-d}).  Integer parameters give an
-    exact integer sequence.
-    """
+    """y_0..y_{n_max}: the initial values verbatim, then the recurrence with
+    source 0 from n = d+1 on.  Integer parameters give an exact sequence."""
     d = params.degree
     if n_max < d:
         raise ValueError(f"n_max must be >= degree {d}, got {n_max}")
-    q = params.recurrence
-    y = list(params.initial)
-    for _ in range(d + 1, n_max + 1):
-        # y[:-d-1:-1] is (y_{n-1}, ..., y_{n-d}), paired with (q_1, ..., q_d).
-        y.append(-sum(map(mul, q, y[: -d - 1 : -1])))
-    return y
+    return extend_recurrence(params.recurrence, list(params.initial), repeat(0, n_max - d))
+
+
+def extend_recurrence(q, x: list, source) -> list:
+    """Append x_t = s_t - (q_1 x_{t-1} + ... + q_d x_{t-d}) to x, which holds
+    at least d = len(q) terms, for each s_t in ``source``; return x.  The one
+    recurrence loop of the package, exact on int and Fraction terms."""
+    d = len(q)
+    for s in source:
+        # x[:-d-1:-1] is (x_{t-1}, ..., x_{t-d}), paired with (q_1, ..., q_d).
+        x.append(s - sum(map(mul, q, x[: -d - 1 : -1])))
+    return x
 
 
 def block_sums(x, W: int, K: int, delay: int = 0) -> list:

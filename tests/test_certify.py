@@ -221,6 +221,12 @@ def constant_plus_mode(draw):
     return WindowData(sums, W, K), 2, noise, y
 
 
+# ROADMAP F5's counterexample at W = 2, K = 3, eps = 1e-2, d = 1: the data,
+# and (w, a) of a signal y_n = w a^n whose window sums are within the noise.
+F5_SUMS = (1.0250671883149365, 1.0134299977316392, 1.006951345846112)
+F5_SIGNAL = (0.5199607863689086, 0.9906639412633453)
+
+
 class TestPipeline:
     def test_neutral_is_zero(self):
         report = pipeline(neutral_windows(1.0, 8, 7), 1)
@@ -366,6 +372,35 @@ class TestPipeline:
         value = certificate_value(project_mean_zero(np.log(y)))
         assert value == pytest.approx(7.43, rel=1e-3)
         assert value > report.threshold
+
+    def test_f5_signal_within_noise_exceeds_threshold(self):
+        # ROADMAP F5: the signal y_n = w a^n has every window sum within the
+        # noise of these data, checked in Fractions, yet its certificate
+        # exceeds the threshold of the report on them.
+        W, K, eps = 2, 3, 1e-2
+        w, a = map(Fraction, F5_SIGNAL)
+        windows = [sum(w * a**n for n in range(W * k, W * k + W)) for k in range(K)]
+        ratios = [abs(v - Fraction(s)) / Fraction(eps) for v, s in zip(windows, F5_SUMS)]
+        assert all(r < 1 for r in ratios)
+        assert [float(r) for r in ratios] == pytest.approx(
+            [0.99999999806, 0.240051295, 0.99999999813], abs=1e-10
+        )
+        y = [F5_SIGNAL[0] * F5_SIGNAL[1] ** n for n in range(W * K)]
+        value = certificate_value(project_mean_zero(np.log(y)))
+        report = pipeline(WindowData(F5_SUMS, W, K), 1, noise_eps=eps)
+        assert value == pytest.approx(7.70e-4, rel=1e-3)
+        assert report.threshold == pytest.approx(4.31e-4, rel=1e-3)
+        assert value > report.threshold
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP F5: at d = 1 and short W the point rule issues zero "
+        "where a signal within the noise exceeds the threshold; ROADMAP item 10 "
+        "decides zero from the exact supremum",
+    )
+    def test_f5_is_not_zero(self):
+        report = pipeline(WindowData(F5_SUMS, 2, 3), 1, noise_eps=1e-2)
+        assert report.decision is not Decision.ZERO
 
     def test_perturbation_stays_certified(self):
         # 100 small multiplicative perturbations of a neutral configuration:

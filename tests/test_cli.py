@@ -339,8 +339,12 @@ class TestRejectedInput:
             '{"W": 2, "K": 2, "sums": ["x", 5.0]}',
             '{"W": 2, "K": 2, "sums": [true, 5.0]}',
             '{"W": 2, "K": 2, "sums": [[2.0], 5.0]}',
+            # Beyond the JSON decoder's recursion limit: a RecursionError
+            # escaping here would exit 1, the code of a nonzero verdict.
+            "[" * 100000 + "]" * 100000,
         ],
-        ids=["list", "string", "missing_sums", "W_fraction", "W_bool", "sum_string", "sum_bool", "sum_list"],
+        ids=["list", "string", "missing_sums", "W_fraction", "W_bool", "sum_string", "sum_bool",
+             "sum_list", "deep_nesting"],
     )
     def test_malformed_windows_file(self, tmp_path, capsys, text):
         path = tmp_path / "w.json"
@@ -415,6 +419,24 @@ class TestRejectedInput:
         assert main(["certify", path, "-d", "1", "--noise-eps", eps]) == 2
         err = capsys.readouterr().err
         assert err == f"error: noise_eps={eps} is outside [0, eps0=0.01]\n"
+
+    @pytest.mark.parametrize(
+        "exc",
+        [MemoryError(), MemoryError("Unable to allocate 29.1 TiB for an array")],
+        ids=["bare", "numpy_message"],
+    )
+    def test_refused_allocation(self, tmp_path, monkeypatch, capsys, exc):
+        # Constant windows at W = 10^12 reach the zero path, which asks numpy
+        # for W K samples.  A stand-in refuses the allocation: a real one of
+        # some sizes gets the process killed instead of refused.
+        def refuse(*args):
+            raise exc
+
+        monkeypatch.setattr("windowcert.certify.exponential_sum", refuse)
+        path = write_windows(tmp_path / "w.json", [8.0] * 4, 10**12)
+        assert main(["certify", path, "-d", "1"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S[^\n]*\n", err)
 
     @pytest.mark.parametrize("level,code", [("verbose", 2), ("debug", 0)])
     def test_log_level(self, monkeypatch, capsys, level, code):
