@@ -9,8 +9,9 @@ Exit codes are part of the contract:
   3  inconclusive outcome / search exhaustion
 
 Each JSON document is produced by one encoder, the ``to_dict`` of its type,
-and is strict RFC 8259: non-finite floats are written as null.  Large
-integers are serialized as strings; CSV holds decimal text.
+and is written as a single line of strict RFC 8259 JSON by json's compact
+(C) encoder: non-finite floats are written as null.  Large integers are
+serialized as strings; CSV holds decimal text.
 ``WINDOWCERT_LOG`` sets the level of the ``windowcert`` logger on each call
 of ``main`` (default WARNING), whose records go to that call's stderr and do
 not propagate to the root logger.
@@ -46,7 +47,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _write(json.dumps(obj, indent=2, allow_nan=False), out)
+    _write(json.dumps(obj, allow_nan=False), out)
 
 
 def _load_windows(path: str) -> WindowData:

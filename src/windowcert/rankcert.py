@@ -29,14 +29,17 @@ obeys s_{t+1} = C s_t, with C the companion matrix of Q, then
 s_{t+W} = C^W s_t, and so do the W-sample sums of x.  The d sums of g that
 one window needs thus move to the next window by one product with C^W; the
 d sums of E, which obeys the recurrence forced by y, move with the y sums by
-one product with [C^W X; 0 C^W].  Rows of C^W and X come from g and g/Q
-near index W, at about d^2 multiply-adds each.  ``_stepped_states`` sums
-the first ceil(2d/W) + 1 windows from the samples and steps the rest, about
-4d^2 multiply-adds per window, a count that no longer grows with W (the
-entries still do, linearly).  The steps need W >= d, and from W = d on they
-were faster on every cell of the bench grid (d in {3, 6, 10, 16}), so below
-W = d every window comes from the samples, about 3dN multiply-adds over
-N = W(2d+1) samples.  The columns then take about d^2 K multiply-adds.
+one product with [C^W X; 0 C^W].  Rows r < W of C^W and X come from g and
+g/Q near index W, at about d^2 multiply-adds each; for W < d the rows
+r >= W of C^W are the shifted identity (s_{t+W-r} is entry r - W of s_t)
+and those of X are 0.  ``_stepped_states`` sums the first k0 + 1 windows,
+k0 = min(ceil(2d/W), 2d), from prefix sums of the samples and steps the
+rest, about 4d^2 multiply-adds per window, a count that does not grow with
+W (the entries still do, linearly).  The columns then take about 2d^2 K
+multiply-adds, as one product with Toeplitz weights.  The steps and the
+column product run as numpy products over arrays of Python ints and
+Fractions (dtype object): numpy runs the loops, and the arithmetic stays
+that of the entries.
 
 The Jacobian is exact for int and Fraction parameters: ints give a
 bit-exact integer matrix (Python ints are arbitrary precision, so exact
@@ -57,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .signal import ExponentialMixture, RationalParams, block_sums, extend_recurrence
+from .signal import ExponentialMixture, RationalParams, extend_recurrence
 from .signal import generate_sequence, mixture_window_params
 from .signal import window_sums  # noqa: F401  (bench/tracing.py rebinds rankcert.window_sums)
 
@@ -116,17 +119,16 @@ def jacobian(params: RationalParams, W: int) -> list:
     if W < 1:
         raise ValueError("W must be >= 1")
     d = params.degree
-    q = params.recurrence
-    y = params.initial
+    b, e = _stepped_states(params, W)
     # Weights on the g sums at delays d+1, d+2, ...: column y_a takes -q_m
-    # at delay a+m, column q_j takes -y_s at delay j+s.
-    y_weights = [[-q[r + d - a] for r in range(a)] for a in range(d + 1)]
-    q_weights = [[-y[r + d + 1 - j] for r in range(j - 1)] for j in range(1, d + 1)]
-    rows = []
-    for b, e in _stepped_states(params, W):
-        row = [sum(map(mul, w, b)) for w in y_weights]
-        row += [sum(map(mul, w, b), -v) for w, v in zip(q_weights, e)]
-        rows.append(row)
+    # at delay a+m, column q_j takes -y_s at delay j+s.  Both blocks are
+    # Toeplitz, read from one vector that holds zeros past each run.
+    weights = [-v for v in params.recurrence] + [0] * d
+    weights += [-v for v in params.initial[:d]] + [0] * d
+    columns = [d - a for a in range(d + 1)] + [3 * d + 1 - j for j in range(1, d + 1)]
+    rows = b @ np.array(weights, dtype=object)[np.add.outer(range(d), columns)]
+    rows[:, d + 1 :] -= e
+    rows = rows.tolist()
     for a in range(d + 1):
         rows[a // W][a] += 1  # e_a: sample a lies in window a // W
     return rows
@@ -144,20 +146,12 @@ def _responses(params: RationalParams, n: int):
     return y, g[d:], tail[d:]
 
 
-def _sample_states(g, tail, W: int, K: int, d: int) -> list:
-    """Per window k < K, the pair (sums of g at delays d+1..2d, sums of E at
-    delays 1..d), each sum taken over W samples."""
-    win_g = [block_sums(g, W, K, s) for s in range(d + 1, 2 * d + 1)]
-    win_e = [block_sums(tail, W, K, j) for j in range(1, d + 1)]
-    return [(list(b), list(e)) for b, e in zip(zip(*win_g), zip(*win_e))]
+def _stepped_states(params: RationalParams, W: int):
+    """Two (2d+1) x d arrays: row k holds the W-sample sums of window k of
+    g at delays d+1..2d in the first, and of E at delays 1..d in the second.
 
-
-def _stepped_states(params: RationalParams, W: int) -> list:
-    """The pairs of ``_sample_states`` for all 2d+1 windows.
-
-    Windows 0..k0 are summed from the samples, with k0 = ceil(2d/W) for
-    W >= d and k0 = 2d (every window) below, where the steps do not hold.
-    From there three states move one window per step:
+    Windows 0..k0, with k0 = min(ceil(2d/W), 2d), come from prefix sums of
+    the samples.  From there three states move one window per step:
 
       B = (B_{t-d-1}, ..., B_{t-2d})  the g sums,     B' = C^W B,
       T = (T_{t-1}, ..., T_{t-d})     the E sums,     T' = C^W T + X Y,
@@ -170,32 +164,49 @@ def _stepped_states(params: RationalParams, W: int) -> list:
     """
     d = params.degree
     q = params.recurrence
-    k0 = 2 * d if W < d else -(-2 * d // W)
-    y, g, tail = _responses(params, W * (k0 + 1))
-    states = _sample_states(g, tail, W, k0 + 1, d)
-    if k0 == 2 * d:
-        return states
-    g2 = extend_recurrence(q, [0] * d, g[: W + d - 1])  # d zeros, then g/Q = 1/Q^2
-    power = _step_matrix(q, g, W)
-    coupled = [a + b for a, b in zip(power, _step_matrix(q, g2[d:], W))]
-    b_state, e_state = states[-1]
-    y_state = [sum(y[W * k0 - j : W * k0 - j + W]) for j in range(1, d + 1)]
-    for _ in range(k0 + 1, 2 * d + 1):
-        e_state = [sum(map(mul, row, e_state + y_state)) for row in coupled]
-        b_state = [sum(map(mul, row, b_state)) for row in power]
-        y_state = [sum(map(mul, row, y_state)) for row in power]
-        states.append((b_state, e_state))
-    return states
+    k0 = min(-(-2 * d // W), 2 * d)
+    n = W * (k0 + 1)
+    y, g, tail = _responses(params, n)
+    # One prefix-sum table, a row each for g, E and y behind 2d zeros: column
+    # 2d + t of a row sums the samples before t, so the sum of a window
+    # delayed by at most 2d is the difference of two columns of its row.
+    # The table is read flat, where row i starts at i * width.
+    width = 2 * d + n
+    table = np.zeros((3, width), dtype=object)
+    for i, x in enumerate((g, tail, y)):
+        table[i, 2 * d + 1 : 2 * d + 1 + len(x)] = x
+    table = table.cumsum(axis=1).ravel()
+    first = [2 * d - s for s in range(d + 1, 2 * d + 1)]  # g at delays d+1..2d
+    first += [i * width + 2 * d - j for i in (1, 2) for j in range(1, d + 1)]  # E, y at 1..d
+    start = np.add.outer(range(0, n, W), first)
+    sums = table[start + W] - table[start]
+    b, e = list(sums[:, :d]), list(sums[:, d : 2 * d])
+    if k0 < 2 * d:
+        g2 = extend_recurrence(q, [0] * d, g[: W + d - 1])  # d zeros, then g/Q = 1/Q^2
+        power = _step_matrix(q, g, W)
+        for r in range(W, d):
+            power[r][r - W] += 1  # C^W: s_{t+W-r} is entry r - W of s_t
+        coupled = [row + x_row for row, x_row in zip(power, _step_matrix(q, g2[d:], W))]
+        coupled = np.array(coupled + [[0] * d + row for row in power], dtype=object)
+        power = coupled[d:, d:]
+        ty = sums[k0, d:]  # (T, Y) at window k0
+        for _ in range(k0 + 1, 2 * d + 1):
+            b.append(power.dot(b[-1]))
+            ty = coupled.dot(ty)
+            e.append(ty[:d])
+    return np.array(b), np.array(e)
 
 
 def _step_matrix(q, x, W: int) -> list:
     """Rows of the d x d matrix with entries -sum_{m=c+1..d} q_m x_{W-r+c-m},
     where x is 0 at a negative index.
 
-    With x = g this is C^W, the W-th power of the companion matrix of Q
-    acting on (s_t, ..., s_{t-d+1}): row r holds the coefficients of
-    s_{t+W-r}.  With x = g/Q it is the block X of the (T, Y) step.  Entries
-    on one diagonal share their terms, so each costs one multiply-add.
+    With x = g and the shifted identity added to its rows r >= W, this is
+    C^W, the W-th power of the companion matrix of Q acting on
+    (s_t, ..., s_{t-d+1}): row r holds the coefficients of s_{t+W-r}, which
+    for r >= W is entry r - W of the state itself.  With x = g/Q it is the
+    block X of the (T, Y) step, whose rows r >= W are 0.  Entries on one
+    diagonal share their terms, so each costs one multiply-add.
     """
     d = len(q)
     rows = [[0] * d for _ in range(d)]
@@ -213,17 +224,19 @@ def _step_matrix(q, x, W: int) -> list:
 def det_mod(matrix, p: int) -> int:
     """Determinant residue in [0, p) by Gaussian elimination over F_p.
 
-    Each pivot updates all rows below it at once.  For p < 2^31 every
-    product of two residues fits int64, and the matrix is an int64 array;
-    a larger p keeps Python ints (dtype object).
+    The entries are reduced in one operation on an object array, and each
+    pivot updates all rows below it at once.  For p < 2^31 every product of
+    two residues fits int64, and the matrix is an int64 array; a larger p
+    keeps Python ints (dtype object).
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    rows = [[int(v) % p for v in row] for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    m = np.array(rows, dtype=np.int64 if p < 2**31 else object).reshape(n, n)
+    m = np.array(matrix, dtype=object).reshape(n, n) % p
+    if p < 2**31:
+        m = m.astype(np.int64)
     det = 1
     for i in range(n):
         if not m[i, i]:

@@ -4,10 +4,10 @@ A degree-d rational signal is parameterized by initial values (y_0..y_d) and
 recurrence coefficients (q_1..q_d); for n >= d+1 it satisfies
 y_n = -(q_1 y_{n-1} + ... + q_d y_{n-d}), run by ``extend_recurrence`` (also
 for the response sequences of ``rankcert``).  The observable is the vector
-of W-block window sums S_k = sum_{j<W} y_{Wk+j}, from ``block_sums``, also
-for delayed sequences.  The window nodes and amplitudes of an exponential
-mixture come from ``mixture_window_params``, and the samples of any
-exponential sum y_n = sum_i w_i a_i^n from ``exponential_sum``.
+of W-block window sums S_k = sum_{j<W} y_{Wk+j}, from ``window_sums``.  The
+window nodes and amplitudes of an exponential mixture come from
+``mixture_window_params``, and the samples of any exponential sum
+y_n = sum_i w_i a_i^n from ``exponential_sum``.
 
 Sequence generation runs in exact integer arithmetic when every parameter is
 an integer (Python ints never overflow), and in double precision otherwise.
@@ -150,25 +150,19 @@ def extend_recurrence(q, x: list, source) -> list:
     return x
 
 
-def block_sums(x, W: int, K: int, delay: int = 0) -> list:
-    """K block sums of x delayed by ``delay`` samples: entry k is
-    sum_{i<W} x_{Wk+i-delay}, where entries at negative index are 0.
+def window_sums(sequence, W: int, K: int) -> WindowData:
+    """Sum consecutive blocks of length W; exact for integer sequences.
 
     Each window is a direct slice sum, not a difference of prefix sums, so
     float inputs keep the rounding of a plain left-to-right block sum.
     """
-    return [sum(x[max(0, W * k - delay) : max(0, W * k + W - delay)]) for k in range(K)]
-
-
-def window_sums(sequence, W: int, K: int) -> WindowData:
-    """Sum consecutive blocks of length W; exact for integer sequences."""
     if W < 1 or K < 1:
         raise ValueError("W and K must be >= 1")
     if len(sequence) < W * K:
         raise ValueError(
             f"sequence of length {len(sequence)} too short for {K} windows of {W}"
         )
-    return WindowData(block_sums(sequence, W, K), W, K)
+    return WindowData([sum(sequence[W * k : W * k + W]) for k in range(K)], W, K)
 
 
 @dataclass(frozen=True)

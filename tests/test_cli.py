@@ -633,8 +633,11 @@ def test_document_shape(tmp_path, capsys, argv):
         "constant": write_windows(tmp_path / "c.json", [8.0] * 7, 8),
     }
     main([arg.format(**paths) for arg in argv])
-    obj = _strict_json(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    obj = _strict_json(out)
     assert _has_shape(obj, DOCUMENT_SHAPES[argv[0]])
+    # One line, written by json's compact encoder.
+    assert out == json.dumps(obj, allow_nan=False) + "\n"
 
 
 class TestReusedParserAndValidators:

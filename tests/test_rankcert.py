@@ -138,44 +138,57 @@ def decaying_float_points(draw):
 
 
 blocks = st.integers(1, 12)
-# Block lengths on both sides of the crossover W = d of ``_stepped_states``:
-# below it every sum comes from the samples, from it on most from steps.
+# Block lengths on both sides of W = d and of W = 2d: the first
+# k0 = min(ceil(2d/W), 2d) windows come from the samples and the rest from
+# steps, so W = 1 takes no step, W < d steps with rows of C^W that are the
+# shifted identity, and W >= 2d sums two windows before it steps.
 wide_blocks = st.integers(1, 24)
+
+
+def _sampled_states(params, W):
+    """Reference for ``_stepped_states``: every window summed directly from
+    the samples, the g sums at delays d+1..2d and the E sums at 1..d."""
+    d = params.degree
+    K = 2 * d + 1
+    _, g, tail = rankcert._responses(params, W * K)
+
+    def delayed(x, k, s):  # sum_{i<W} x_{Wk+i-s}, with x 0 at a negative index
+        return sum(x[max(0, W * k - s) : max(0, W * k + W - s)])
+
+    b = [[delayed(g, k, s) for s in range(d + 1, 2 * d + 1)] for k in range(K)]
+    e = [[delayed(tail, k, j) for j in range(1, d + 1)] for k in range(K)]
+    return b, e
 
 
 class TestAssemblyProperties:
     @settings(max_examples=150, deadline=None)
     @given(integer_points(), wide_blocks)
     @example(RationalParams((0, 0, 0), (3, -2)), 5)  # all-zero initial values
-    @example(RationalParams((1, -2, 4), (3, 0)), 4)  # q_d = 0, steps
-    @example(RationalParams((1, -2, 4, 1), (3, 1, 0)), 2)  # q_d = 0, samples
+    @example(RationalParams((1, -2, 4), (3, 0)), 4)  # q_d = 0, W >= 2d
+    @example(RationalParams((1, -2, 4, 1), (3, 1, 0)), 2)  # q_d = 0, W < d
+    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 2)  # W < d, k0 = d
     @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 3)  # W = d - 1
     @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 4)  # W = d
-    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 1)  # W = 1
+    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 1)  # W = 1: no step
     @example(RationalParams((3, 4), (5,)), 1)  # W = d = 1: no step after the sums
     def test_exact_matches_propagation(self, params, W):
         assert jacobian(params, W) == _propagated_jacobian(params, W)
 
     @pytest.mark.parametrize("d", [3, 6, 10, 16])
     def test_steps_match_samples_on_grid(self, d):
-        # The bench grid: both paths give the same sums, as Python ints, at
-        # every W >= d, where ``jacobian`` takes the steps.
+        # The bench grid, the cells with W < d included: the steps give the
+        # sums of the samples, as Python ints, at every W.
         rng = np.random.default_rng(d)
         K = 2 * d + 1
         for W in (8, 16, 32, 64):
-            if W < d:
-                continue
             pi = [int(v) for v in rng.integers(-5, 6, K)]
             params = RationalParams.from_vector(pi, d)
-            samples = rankcert._responses(params, W * K)[1:]
-            expected = rankcert._sample_states(*samples, W, K, d)
-            assert rankcert._stepped_states(params, W) == expected
+            b, e = rankcert._stepped_states(params, W)
+            assert (b.tolist(), e.tolist()) == _sampled_states(params, W)
 
     def test_steps_match_samples_on_witness(self):
-        K = 2 * WITNESS_D + 1
-        samples = rankcert._responses(WITNESS, WITNESS_W * K)[1:]
-        expected = rankcert._sample_states(*samples, WITNESS_W, K, WITNESS_D)
-        assert rankcert._stepped_states(WITNESS, WITNESS_W) == expected
+        b, e = rankcert._stepped_states(WITNESS, WITNESS_W)
+        assert (b.tolist(), e.tolist()) == _sampled_states(WITNESS, WITNESS_W)
 
     @settings(max_examples=150, deadline=None)
     @given(decaying_float_points(), blocks)
@@ -216,7 +229,9 @@ class TestDetMod:
         ab = (np.array(a) @ np.array(b)).tolist()
         assert det_mod(ab, PRIME) == det_mod(a, PRIME) * det_mod(b, PRIME) % PRIME
 
-    @pytest.mark.parametrize("case", ["dense4", "dense33", "row_swap", "singular"])
+    @pytest.mark.parametrize(
+        "case", ["dense4", "dense33", "row_swap", "singular", "beyond_modulus"]
+    )
     @pytest.mark.parametrize(
         "p", [2**31 - 1, 2**61 - 1], ids=["int64", "object"]
     )
@@ -230,6 +245,10 @@ class TestDetMod:
             m[0][0] = 0  # the first pivot comes from a lower row
         if case == "singular":
             m[20] = [a - 2 * b for a, b in zip(m[3], m[11])]
+        if case == "beyond_modulus":
+            # Entries below -p and above 2^63 are reduced exactly.
+            m[0][0], m[1][2], m[2][1] = -3 * p - 5, 2**64 + 3, -(2**70) - 1
+            m[3][3], m[4][5], m[5][0] = 5 * p + 2, 2**63, -(p**2) - 7
         exact = _fraction_det(m)
         assert (exact == 0) == (case == "singular")
         assert det_mod(m, p) == int(exact) % p
@@ -239,8 +258,11 @@ class TestDetMod:
             det_mod([[1]], 9)
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            det_mod([[1, 2]], 7)
+        # Ragged rows too: the shape is checked before the entries become an
+        # array, so they get this message and not one from numpy.
+        for matrix in ([[1, 2]], [[1, 2], [3]], [[1], [2, 3]]):
+            with pytest.raises(ValueError, match="matrix must be square"):
+                det_mod(matrix, 7)
 
 
 def _fraction_det(matrix):
