@@ -4,17 +4,18 @@ Exit codes are part of the contract:
   0  success (certify: zero verdict; witness: nonzero determinant)
   1  conclusive negative (certify: nonzero; witness: singular; reconstruct:
      degenerate flags)
-  2  malformed input or invalid configuration, a windows document nested
-     too deep to decode included, or an allocation the machine refuses
+  2  malformed input or invalid configuration, argparse's rejections and
+     conflicting inputs included, or a size the machine refuses or cannot
+     index; always one ``error: ...`` line on stderr
   3  inconclusive outcome / search exhaustion
 
 Each JSON document is produced by one encoder, the ``to_dict`` of its type,
-and is written as a single line of strict RFC 8259 JSON by json's compact
-(C) encoder: non-finite floats are written as null.  Large integers are
-serialized as strings; CSV holds decimal text.
-``WINDOWCERT_LOG`` sets the level of the ``windowcert`` logger on each call
-of ``main`` (default WARNING), whose records go to that call's stderr and do
-not propagate to the root logger.
+and is written as one newline-terminated line of strict RFC 8259 JSON by
+json's compact (C) encoder, the same bytes on stdout and to ``--out``:
+non-finite floats are written as null.  Large integers are serialized as
+strings; CSV holds decimal text.  ``WINDOWCERT_LOG`` names the lowest level
+(default WARNING; NOTSET passes all) of the ``LEVEL windowcert: ...`` lines
+that a call of ``main`` writes to its stderr; no ``logging`` logger is used.
 """
 from __future__ import annotations
 
@@ -32,7 +33,25 @@ from .rankcert import certify_witness, search_witness
 from .signal import RationalParams, WindowData, generate_sequence, window_sums
 from .synth import case_a_fixture, case_b_fixture, collision_pair
 
-log = logging.getLogger("windowcert")
+
+class _Parser(argparse.ArgumentParser):
+    """Rejections raise ValueError, reported by ``main`` as any bad input is."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _log_level() -> int:
+    """The level that WINDOWCERT_LOG names (default WARNING)."""
+    name = os.environ.get("WINDOWCERT_LOG", "WARNING").upper()
+    if not isinstance(level := logging.getLevelName(name), int):
+        raise ValueError(f"unknown WINDOWCERT_LOG level {name!r}")
+    return level
+
+
+def _log(level: int, message: str) -> None:
+    if level >= _log_level():
+        sys.stderr.write(f"{logging.getLevelName(level)} windowcert: {message}\n")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -41,13 +60,13 @@ def _write(text: str, out: str | None) -> None:
             Path(out).write_text(text)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc}") from exc
-        log.info("wrote %s", out)
+        _log(logging.INFO, f"wrote {out}")
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _write(json.dumps(obj, allow_nan=False), out)
+    _write(json.dumps(obj, allow_nan=False) + "\n", out)
 
 
 def _load_windows(path: str) -> WindowData:
@@ -75,42 +94,32 @@ def _parse_pi0(text: str, d: int) -> RationalParams:
 
 
 def cmd_windows(args) -> int:
-    if args.sequence_file:
+    if args.sequence_file is not None:
         try:
             seq = [float(v) for v in Path(args.sequence_file).read_text().split()]
         except (OSError, ValueError) as exc:
             raise ValueError(f"malformed sequence file: {exc}") from exc
-    elif args.pi0:
+    else:
         if args.d is None:
             raise ValueError("--pi0 requires -d")
         # At least y_0..y_d, so that the recurrence is defined however few
         # samples the windows take; window_sums checks W and K.
         n_max = max(args.W * args.K - 1, args.d)
         seq = generate_sequence(_parse_pi0(args.pi0, args.d), n_max)
-    else:
-        raise ValueError("provide --pi0 or --sequence-file")
     _emit_json(window_sums(seq, args.W, args.K).to_dict(), args.out)
     return 0
 
 
 def cmd_witness(args) -> int:
     if args.search:
-        cert = search_witness(
-            args.d,
-            args.W,
-            coordinate_bound=args.bound,
-            p=args.prime,
-            seed=args.seed,
-            max_trials=args.max_trials,
-        )
+        cert = search_witness(args.d, args.W, coordinate_bound=args.bound, p=args.prime,
+                              seed=args.seed, max_trials=args.max_trials)
         if cert is None:
-            log.warning("witness search exhausted after %d trials", args.max_trials)
+            _log(logging.WARNING, f"witness search exhausted after {args.max_trials} trials")
             return 3
-    elif args.pi0:
+    else:
         params = _parse_pi0(args.pi0, args.d)
         cert = certify_witness(params, args.d, args.W, args.prime)
-    else:
-        raise ValueError("provide --pi0 or --search")
     _emit_json(cert.to_dict(), args.out)
     return 0 if cert.nonzero else 1
 
@@ -126,36 +135,30 @@ def cmd_certify(args) -> int:
     data = _load_windows(args.windows)
     report = pipeline(data, args.d, noise_eps=args.noise_eps)
     _emit_json(report.to_dict(), args.out)
-    return {Decision.ZERO: 0, Decision.NONZERO: 1, Decision.INCONCLUSIVE: 3}[
-        report.decision
-    ]
+    codes = {Decision.ZERO: 0, Decision.NONZERO: 1, Decision.INCONCLUSIVE: 3}
+    return codes[report.decision]
 
 
 def cmd_synth(args) -> int:
-    if args.what in ("case-a", "case-b"):
-        fixture = case_a_fixture() if args.what == "case-a" else case_b_fixture()
-        lines = ["k,true,observed"]
-        for k, (t, o) in enumerate(zip(fixture.true_windows, fixture.observed_windows)):
-            lines.append(f"{k},{t!r},{o!r}")
-        _write("\n".join(lines) + "\n", args.out)
-        return 0
     if args.what == "collision":
-        fixture = case_a_fixture()
-        y_in, y_out, big_n = collision_pair(
-            fixture.mixture, args.d, args.W, args.K
-        )
+        y_in, y_out, big_n = collision_pair(case_a_fixture().mixture, args.d, args.W, args.K)
         out = args.out or "collision"
         for name, seq in (("in", y_in), ("out", y_out)):
             _write("\n".join(repr(v) for v in seq) + "\n", f"{out}.{name}.csv")
         sys.stdout.write(f"N={big_n}\n")
         return 0
-    raise ValueError(f"unknown synth target {args.what!r}")
+    fixture = case_a_fixture() if args.what == "case-a" else case_b_fixture()
+    lines = ["k,true,observed"]
+    for k, (t, o) in enumerate(zip(fixture.true_windows, fixture.observed_windows)):
+        lines.append(f"{k},{t!r},{o!r}")
+    _write("\n".join(lines) + "\n", args.out)
+    return 0
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use and shared."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="windowcert",
         description="Certification of neutrality from W-block window sums",
     )
@@ -168,15 +171,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int)
     p.add_argument("-W", type=int, required=True)
     p.add_argument("-K", type=int, required=True)
-    p.add_argument("--pi0", help="integer parameters y0..yd,q1..qd")
-    p.add_argument("--sequence-file", help="samples y0, y1, ... (floats)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--pi0", help="integer parameters y0..yd,q1..qd")
+    source.add_argument("--sequence-file", help="samples y0, y1, ... (floats)")
     p.set_defaults(func=cmd_windows)
 
     p = sub.add_parser("witness", parents=[common], help="rank certificate")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-W", type=int, required=True)
-    p.add_argument("--pi0", help="integer parameters y0..yd,q1..qd")
-    p.add_argument("--search", action="store_true")
+    point = p.add_mutually_exclusive_group(required=True)
+    point.add_argument("--pi0", help="integer parameters y0..yd,q1..qd")
+    point.add_argument("--search", action="store_true")
     p.add_argument("--prime", type=int, default=10**9 + 7)
     p.add_argument("--seed", type=int, default=0, help="search seed")
     p.add_argument("--bound", type=int, default=5)
@@ -195,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("synth", parents=[common], help="fixtures and collisions")
-    p.add_argument("what", help="case-a | case-b | collision")
+    p.add_argument("what", choices=("case-a", "case-b", "collision"))
     p.add_argument("-d", type=int, default=3)
     p.add_argument("-W", type=int, default=8)
     p.add_argument("-K", type=int, default=11)
@@ -205,25 +210,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    log.addHandler(handler)
-    log.propagate = False  # the records go to this handler alone
     try:
-        level = os.environ.get("WINDOWCERT_LOG", "WARNING").upper()
-        if not isinstance(logging.getLevelName(level), int):
-            raise ValueError(f"unknown WINDOWCERT_LOG level {level!r}")
-        log.setLevel(level)
+        _log_level()  # an unknown level exits 2 whatever the call writes
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, MemoryError) as exc:
-        # Bad input or configuration (the CLI's and the package's checks,
-        # numpy.linalg.LinAlgError), or an allocation the machine refuses.
-        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
+    except (ValueError, MemoryError, OverflowError) as exc:
+        # Bad input or configuration (argparse's, the CLI's and the package's
+        # checks, numpy.linalg.LinAlgError), an allocation the machine refuses,
+        # or a size past its index range (itertools.repeat at W >= 2^63).
+        message = str(exc) or type(exc).__name__
+        if isinstance(exc, OverflowError):
+            message = f"input too large for this machine ({message})"
+        sys.stderr.write(f"error: {message}\n")
         return 2
-    finally:
-        log.removeHandler(handler)
-        log.propagate = True
 
 
 if __name__ == "__main__":

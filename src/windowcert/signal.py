@@ -80,8 +80,8 @@ class WindowData:
         object.__setattr__(self, "sums", tuple(self.sums))
         if self.block_length < 1:
             raise ValueError("block_length must be >= 1")
-        if self.count != len(self.sums) or self.count < 1:
-            raise ValueError("count must equal len(sums) and be >= 1")
+        if self.count != (n := len(self.sums)) or self.count < 1:
+            raise ValueError(f"K={self.count} must equal the number of sums, {n}, and be >= 1")
         # Exact sums are Python ints of any size; math.isfinite would
         # overflow on those above ~1.8e308.
         if not all(_is_int(s) or math.isfinite(s) for s in self.sums):

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import re
@@ -265,12 +266,52 @@ class TestRejectedInput:
             ["windows", "-d", "3", "-W", "0", "-K", "2", "--pi0", WITNESS_PI0],
             ["windows", "-W", "2", "-K", "2"],
             ["windows", "-W", "2", "-K", "2", "--pi0", "1 1 -1"],
+            # argparse's rejections take the same path: no usage block, no
+            # SystemExit.
+            [],
+            ["verify", "w.json"],
+            ["certify", "w.json", "-d", "1", "--strict"],
+            ["witness", "-d", "1", "-W", "x", "--pi0", "1 1 -1"],
         ],
     )
     def test_bad_arguments(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["windows", "-d", "1", "-W", "2", "-K", "2", "--pi0", "5 5 -1",
+             "--sequence-file", "{sequence}"],
+            ["witness", "-d", "1", "-W", "2", "--pi0", "1 1 -1", "--search"],
+        ],
+        ids=["windows", "witness"],
+    )
+    def test_conflicting_inputs(self, tmp_path, capsys, argv):
+        # Neither source is dropped in favour of the other.
+        sequence = tmp_path / "y.txt"
+        sequence.write_text("1.0 2.0 3.0 4.0")
+        assert main([a.format(sequence=sequence) for a in argv]) == 2
+        assert re.fullmatch(
+            r"error: argument \S+: not allowed with argument \S+\n", capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["windows", "-d", "1", "-W", str(10**20), "-K", "2", "--pi0", "1 1 -1"],
+            ["witness", "-d", "1", "-W", str(10**20), "--pi0", "1 1 -1"],
+        ],
+        ids=["windows", "witness"],
+    )
+    def test_window_past_index_range(self, capsys, argv):
+        # A W at or above 2^63 overflows a C ssize_t before any term is built.
+        # A W such as 10^12 would build its W K terms first: never test one.
+        assert main(argv) == 2
+        assert re.fullmatch(
+            r"error: input too large for this machine \([^\n]+\)\n", capsys.readouterr().err
+        )
 
     def test_no_windows(self, capsys):
         # K = 0 is reported as such, not as a sequence too short for d.
@@ -322,11 +363,9 @@ class TestRejectedInput:
         ],
     )
     def test_removed_options(self, extra, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["windows", "-d", "1", "-W", "2", "-K", "2", "--pi0", "1 1 -1", *extra])
-        assert exc.value.code == 2
+        assert main(["windows", "-d", "1", "-W", "2", "-K", "2", "--pi0", "1 1 -1", *extra]) == 2
         err = capsys.readouterr().err
-        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -342,9 +381,10 @@ class TestRejectedInput:
             # Beyond the JSON decoder's recursion limit: a RecursionError
             # escaping here would exit 1, the code of a nonzero verdict.
             "[" * 100000 + "]" * 100000,
+            '{"W": 2, "K": 3, "sums": [1.0, 2.0]}',
         ],
         ids=["list", "string", "missing_sums", "W_fraction", "W_bool", "sum_string", "sum_bool",
-             "sum_list", "deep_nesting"],
+             "sum_list", "deep_nesting", "K_mismatch"],
     )
     def test_malformed_windows_file(self, tmp_path, capsys, text):
         path = tmp_path / "w.json"
@@ -640,6 +680,25 @@ def test_document_shape(tmp_path, capsys, argv):
     assert out == json.dumps(obj, allow_nan=False) + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["windows", "-d", "3", "-W", "8", "-K", "7", "--pi0", WITNESS_PI0],
+        ["witness", "-d", "3", "-W", "8", "--pi0", WITNESS_PI0],
+        ["certify", "{constant}", "-d", "1"],
+        ["synth", "case-a"],
+    ],
+    ids=["windows", "witness", "certify", "synth"],
+)
+def test_out_file_matches_stdout(tmp_path, capsys, argv):
+    argv = [a.format(constant=write_windows(tmp_path / "c.json", [8.0] * 7, 8)) for a in argv]
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    assert out.read_bytes() == stdout.encode()
+
+
 class TestReusedParserAndValidators:
     def test_consecutive_calls_get_independent_arguments(self, tmp_path, capsys):
         path = write_windows(tmp_path / "w.json", [8.0] * 7, 8)
@@ -685,6 +744,22 @@ class TestReusedParserAndValidators:
         assert [err.count(line) for err in calls] == warnings
         assert [len(err) for err in calls] == [len(line) * n for n in warnings]
         assert proc.stdout == "0\n"
+
+    def test_host_logger_untouched(self, tmp_path, monkeypatch, capsys):
+        # main reads and sets no logging state: a host's windowcert logger
+        # keeps its level and flags, and its DEBUG level lets no INFO line
+        # through, since WINDOWCERT_LOG alone gates the lines.
+        monkeypatch.delenv("WINDOWCERT_LOG", raising=False)
+        logger = logging.getLogger("windowcert")
+        monkeypatch.setattr(logger, "level", logging.DEBUG)
+        monkeypatch.setattr(logger, "propagate", False)
+        assert main(EXHAUSTED_SEARCH) == 3
+        out = str(tmp_path / "w.json")
+        assert main(["witness", "-d", "3", "-W", "8", "--pi0", WITNESS_PI0, "--out", out]) == 0
+        assert (logger.level, logger.propagate, logger.handlers) == (logging.DEBUG, False, [])
+        assert capsys.readouterr().err == (
+            "WARNING windowcert: witness search exhausted after 0 trials\n"
+        )
 
     def test_records_do_not_propagate(self):
         # A host that configured the root logger gets each record once, from

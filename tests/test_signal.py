@@ -106,7 +106,7 @@ class TestWindowData:
     def test_validation(self):
         with pytest.raises(ValueError):
             WindowData((1.0,), 0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^K=3 must equal the number of sums, 1,"):
             WindowData((1.0,), 2, 3)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
