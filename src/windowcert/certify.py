@@ -182,13 +182,6 @@ def _modal_jacobian(rates, weights, W: int) -> np.ndarray:
     return np.linalg.solve(M.T, H.T).T  # J^T = M^-T H^T
 
 
-class Realization(NamedTuple):
-    """The positive samples y_n, n < W K, of a model on the locus, and L."""
-
-    samples: np.ndarray
-    lipschitz: float
-
-
 def data_test(w: WindowData, noise_eps: float) -> Optional[NonzeroWitness]:
     """The window pair of a ``nonzero`` verdict, or None within the noise.
 
@@ -219,9 +212,9 @@ def data_test(w: WindowData, noise_eps: float) -> Optional[NonzeroWitness]:
     return NonzeroWitness(k_max, k_min, max(top / 2.0 - bottom / 2.0 - noise_eps, 0.0))
 
 
-def reconstruct_on_locus(model: PronyModel, W: int, K: int) -> Realization | frozenset:
-    """The model's ``Realization``, or the flags that keep it off the
-    identifiability locus; failures are flags, never exceptions.
+def reconstruct_on_locus(model: PronyModel, W: int, K: int) -> tuple | frozenset:
+    """The positive samples y_n, n < W K, of a model on the locus and their
+    Lipschitz estimate L, or the flags that keep it off; never an exception.
 
     A degenerate model gives its own flags.  Otherwise its nodes and
     amplitudes are real, and each node mu maps to the sample rate
@@ -252,12 +245,12 @@ def reconstruct_on_locus(model: PronyModel, W: int, K: int) -> Realization | fro
         if not (samples.min() > 0.0 and samples.max() < math.inf):  # NaN fails both
             return frozenset({POSITIVITY})
         try:
-            return Realization(samples, estimate_lipschitz(rates, weights, W))
+            return samples, estimate_lipschitz(rates, weights, W)
         except ValueError:  # LinAlgError included
             return frozenset({LIPSCHITZ_SINGULAR})
 
 
-def project_and_decide(realization: Realization, K: int, noise_eps: float) -> dict:
+def project_and_decide(samples: np.ndarray, L: float, K: int, noise_eps: float) -> dict:
     """The report's fields: ``zero`` iff the threshold
     ``eps_bound(L, K, noise_eps)`` is finite and the certificate of the
     mean-zero log of the samples is at most ``max(threshold,
@@ -265,8 +258,8 @@ def project_and_decide(realization: Realization, K: int, noise_eps: float) -> di
     certifies nothing; else ``inconclusive`` with ``bound_exceeded``, where
     the report's ``bound_vacuous`` tells the two cases apart.
     """
-    threshold = eps_bound(realization.lipschitz, K, noise_eps)
-    u = project_mean_zero(np.log(realization.samples))
+    threshold = eps_bound(L, K, noise_eps)
+    u = project_mean_zero(np.log(samples))
     value = certificate_value(u)
     zero = threshold < math.inf and value <= max(threshold, CERTIFICATE_FLOOR)
     return dict(
@@ -275,7 +268,7 @@ def project_and_decide(realization: Realization, K: int, noise_eps: float) -> di
         certificate_value=value,
         defect_estimate=math.sqrt(u.dot(u)),  # np.linalg.norm of a real vector
         threshold=threshold,
-        lipschitz_estimate=realization.lipschitz,
+        lipschitz_estimate=L,
     )
 
 
@@ -312,8 +305,8 @@ def pipeline(w: WindowData, d: int, noise_eps: float = 0.0) -> CertReport:
         fields = dict(decision=Decision.NONZERO, nonzero_witness=witness)
     else:
         located = reconstruct_on_locus(model, W, K)
-        if isinstance(located, Realization):
-            fields = project_and_decide(located, K, noise_eps)
-        else:
+        if isinstance(located, frozenset):
             fields = dict(decision=Decision.INCONCLUSIVE, flags=located)
+        else:
+            fields = project_and_decide(*located, K, noise_eps)
     return CertReport(reconstruction=model, noise_eps=noise_eps, W=W, K=K, **fields)

@@ -4,9 +4,10 @@ Exit codes are part of the contract:
   0  success (certify: zero verdict; witness: nonzero determinant)
   1  conclusive negative (certify: nonzero; witness: singular; reconstruct:
      degenerate flags)
-  2  malformed input or invalid configuration, argparse's rejections and
-     conflicting inputs included, or a size the machine refuses or cannot
-     index; always one ``error: ...`` line on stderr
+  2  malformed input or configuration (argparse's rejections, conflicting
+     inputs, an option the mode does not read: ``windows -d`` without
+     ``--pi0``, ``witness --seed|--bound|--max-trials`` without ``--search``),
+     or a size the machine refuses or cannot index; one ``error:`` line on stderr
   3  inconclusive outcome / search exhaustion
 
 Each JSON document is produced by one encoder, the ``to_dict`` of its type,
@@ -94,14 +95,14 @@ def _parse_pi0(text: str, d: int) -> RationalParams:
 
 
 def cmd_windows(args) -> int:
+    if (args.d is None) != (args.pi0 is None):
+        raise ValueError("-d goes with --pi0 and only with it")
     if args.sequence_file is not None:
         try:
             seq = [float(v) for v in Path(args.sequence_file).read_text().split()]
         except (OSError, ValueError) as exc:
             raise ValueError(f"malformed sequence file: {exc}") from exc
     else:
-        if args.d is None:
-            raise ValueError("--pi0 requires -d")
         # At least y_0..y_d, so that the recurrence is defined however few
         # samples the windows take; window_sums checks W and K.
         n_max = max(args.W * args.K - 1, args.d)
@@ -111,12 +112,15 @@ def cmd_windows(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    typed = {k: getattr(args, k) for k in ("seed", "bound", "max_trials") if k in args}
     if args.search:
-        cert = search_witness(args.d, args.W, coordinate_bound=args.bound, p=args.prime,
-                              seed=args.seed, max_trials=args.max_trials)
+        seed, bound, trials = ({"seed": 0, "bound": 5, "max_trials": 100} | typed).values()
+        cert = search_witness(args.d, args.W, bound, args.prime, seed=seed, max_trials=trials)
         if cert is None:
-            _log(logging.WARNING, f"witness search exhausted after {args.max_trials} trials")
+            _log(logging.WARNING, f"witness search exhausted after {trials} trials")
             return 3
+    elif typed:
+        raise ValueError("--seed, --bound and --max-trials go only with --search")
     else:
         params = _parse_pi0(args.pi0, args.d)
         cert = certify_witness(params, args.d, args.W, args.prime)
@@ -183,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--pi0", help="integer parameters y0..yd,q1..qd")
     point.add_argument("--search", action="store_true")
     p.add_argument("--prime", type=int, default=10**9 + 7)
-    p.add_argument("--seed", type=int, default=0, help="search seed")
-    p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--max-trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="default 0")
+    p.add_argument("--bound", type=int, default=argparse.SUPPRESS, help="default 5")
+    p.add_argument("--max-trials", type=int, default=argparse.SUPPRESS, help="default 100")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("reconstruct", parents=[common], help="Prony recovery")
@@ -199,12 +203,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-eps", type=float, default=0.0)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("synth", parents=[common], help="fixtures and collisions")
-    p.add_argument("what", choices=("case-a", "case-b", "collision"))
+    p = sub.add_parser("synth", help="fixtures and collisions")
+    p.set_defaults(func=cmd_synth)
+    targets = p.add_subparsers(dest="what", required=True)
+    for what in ("case-a", "case-b"):
+        targets.add_parser(what, parents=[common])
+    p = targets.add_parser("collision", parents=[common])
     p.add_argument("-d", type=int, default=3)
     p.add_argument("-W", type=int, default=8)
     p.add_argument("-K", type=int, default=11)
-    p.set_defaults(func=cmd_synth)
 
     return parser
 

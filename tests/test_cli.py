@@ -143,6 +143,17 @@ class TestWitness:
         rc = main(["witness", "-d", "2", "-W", "3", "--search", "--max-trials", "0"])
         assert rc == 3
 
+    @pytest.mark.parametrize("seed,code", [("0", 0), ("1", 3)], ids=["found", "exhausted"])
+    def test_search_options(self, capsys, seed, code):
+        # The benchmark's search shape: seed 0 finds a witness within three
+        # trials, seed 1 runs out, and the warning names the trial count.
+        argv = ["witness", "-d", "2", "-W", "3", "--search", "--bound", "1",
+                "--max-trials", "3", "--seed", seed]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == ("WARNING windowcert: witness search exhausted after 3 trials\n"
+                       if code else "")
+
     def test_missing_pi0(self):
         assert main(["witness", "-d", "1", "-W", "1"]) == 2
 
@@ -272,6 +283,8 @@ class TestRejectedInput:
             ["verify", "w.json"],
             ["certify", "w.json", "-d", "1", "--strict"],
             ["witness", "-d", "1", "-W", "x", "--pi0", "1 1 -1"],
+            # search_witness tests the modulus before the first trial.
+            ["witness", "-d", "1", "-W", "2", "--search", "--prime", "10", "--max-trials", "0"],
         ],
     )
     def test_bad_arguments(self, argv, capsys):
@@ -296,6 +309,27 @@ class TestRejectedInput:
         assert re.fullmatch(
             r"error: argument \S+: not allowed with argument \S+\n", capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["windows", "-d", "7", "-W", "2", "-K", "2", "--sequence-file", "{sequence}"],
+            ["witness", "-d", "1", "-W", "2", "--pi0", "1 1 -1", "--seed", "5", "--bound", "9",
+             "--max-trials", "0"],
+            ["synth", "case-a", "-d", "9", "-W", "1", "-K", "2", "--out", "{out}"],
+            ["synth", "case-b", "-d", "9", "-W", "1", "-K", "2", "--out", "{out}"],
+        ],
+        ids=["windows", "witness", "case-a", "case-b"],
+    )
+    def test_option_the_mode_does_not_read(self, tmp_path, capsys, argv):
+        # Each mode accepts only the options it reads, so none is dropped.
+        sequence = tmp_path / "y.txt"
+        sequence.write_text("1.0 2.0 3.0 4.0")
+        out = tmp_path / "case.csv"
+        assert main([a.format(sequence=sequence, out=out) for a in argv]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

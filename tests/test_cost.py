@@ -119,6 +119,8 @@ class TestBandBounds:
             RatioBand(2.0, 1.0)
         with pytest.raises(ValueError):
             RatioBand(0.0, 1.0)
+        with pytest.raises(ValueError, match="band endpoints must be finite"):
+            RatioBand(1.0, math.inf)
 
     @pytest.mark.parametrize(
         "a,expected", [(1.0, 1.0), (0.5, 2.5), (2.0, 0.625)]
@@ -172,6 +174,8 @@ def test_quadratic_upper_bound_values():
     assert quadratic_upper_bound(0.0) == 0.0
     assert quadratic_upper_bound(1.0) == pytest.approx(math.e / 2, rel=1e-15)
     assert quadratic_upper_bound(-1.0) == quadratic_upper_bound(1.0)
+    with pytest.raises(ValueError, match="t must be finite"):
+        quadratic_upper_bound(math.nan)
 
 
 def test_calibration_second_difference():

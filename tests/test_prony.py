@@ -91,6 +91,10 @@ class TestCharRoots:
         r = complex(7.5e307, 7.5e307)
         assert _polish(r, [1.0, 0.0, 0.0], [2.0, 0.0]) == r
 
+    def test_no_coefficients(self):
+        with pytest.raises(ValueError, match="need at least one coefficient"):
+            char_roots(())
+
     def test_quadratic(self):
         nodes, flags = char_roots((-5.0, 6.0))
         assert not flags
@@ -163,6 +167,10 @@ class TestAmplitudes:
     def test_repeated_nodes_raise(self):
         with pytest.raises(ValueError):
             solve_amplitudes([1.0, 2.0], (1.0, 1.0))
+
+    def test_no_nodes(self):
+        with pytest.raises(ValueError, match="need at least one node"):
+            solve_amplitudes([1.0, 2.0], ())
 
     def test_zero_amplitude_flag(self):
         from windowcert.prony import ZERO_AMPLITUDE
@@ -529,6 +537,7 @@ class TestBitIdentity:
     @example((1, [5e-324, 1e3]))  # the solve overflows
     @example((2, [1e-320, 5e-321, 2.5e-321, 1.25e-321]))  # rank one, subnormal top
     @example((2, [1e3, 0.0, 5e-324, 0.0]))  # the condition number overflows
+    @example((2, [-0.0, -1.93e-322, -2.57e-322, -1.3e-322]))  # the LU solve hits a zero pivot
     def test_recurrence_coeffs_match_list_hankel(self, case):
         d, sums = case
         assert _exact(solve_recurrence_coeffs, sums, d) == _exact(

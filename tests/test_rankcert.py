@@ -69,6 +69,10 @@ class TestJacobian:
         p = RationalParams((3, 4), (5,))
         assert jacobian(p, 1) == [[1, 0, 0], [0, 1, 0], [0, -5, -4]]
 
+    def test_window_validation(self):
+        with pytest.raises(ValueError, match="W must be >= 1"):
+            jacobian(WITNESS, 0)
+
     def test_full_witness_matrix(self):
         jac = jacobian(WITNESS, WITNESS_W)
         assert tuple(tuple(row) for row in jac) == WITNESS_JACOBIAN
@@ -376,9 +380,22 @@ class TestSearchWitness:
         assert search_witness(2, 3, coordinate_bound=1, p=PRIME, seed=1, max_trials=3) is None
         assert calls == [PRIME] * 4
 
+    def test_zero_recurrence_skipped(self, monkeypatch):
+        # Seed 6 at d = 1, bound 1 first draws (1, -1, 0): q_1 = 0 leaves no
+        # recurrence, so the trial is spent without a certificate.
+        calls = []
+        monkeypatch.setattr(rankcert, "certify_witness", lambda *args: calls.append(args))
+        assert search_witness(1, 2, coordinate_bound=1, p=PRIME, seed=6, max_trials=1) is None
+        assert calls == []
+
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             search_witness(1, 1, coordinate_bound=0, p=PRIME)
+
+    def test_composite_modulus(self):
+        # Checked before the first trial, so zero trials cannot hide it.
+        with pytest.raises(ValueError, match="modulus 10 is not prime"):
+            search_witness(1, 2, coordinate_bound=1, p=10, max_trials=0)
 
     def test_degree_validation(self):
         # d < 1 leaves every trial without a recurrence; it is bad input,
@@ -397,6 +414,10 @@ class TestHankelWitnessDet:
     def test_order_one(self):
         # Single rate 1/2: det = B_1 = (1 - 2^-W) / (1 - 1/2).
         assert hankel_witness_det(1, 3) == pytest.approx(2 * (1 - 0.125), rel=1e-15)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="d and W must be >= 1"):
+            hankel_witness_det(0, 3)
 
     def test_positive_over_grid(self):
         for d in range(1, 5):

@@ -136,6 +136,8 @@ class TestExponentialMixture:
             ExponentialMixture((0.5,), (-1.0,))
         with pytest.raises(ValueError):
             ExponentialMixture((), ())
+        with pytest.raises(ValueError, match="W must be >= 1"):
+            mixture_window_params(ExponentialMixture((0.5,), (1.0,)), 0)
 
     def test_sequence_values(self):
         mix = ExponentialMixture((0.5,), (3.0,))

@@ -94,6 +94,10 @@ class TestCollision:
         # Bump height is 1 up to the float rounding of (tiny tail + 1.0).
         assert all(abs(y_out[n] - y_in[n] - 1.0) < 1e-9 for n in diffs)
 
+    def test_window_validation(self):
+        with pytest.raises(ValueError, match="need W >= 1 and K >= 0"):
+            collision_pair(case_a_fixture().mixture, 3, 0, 11)
+
     def test_residual_separates_membership(self):
         fixture = case_a_fixture()
         d = fixture.d
