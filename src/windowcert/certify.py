@@ -89,9 +89,7 @@ class CertReport:
             "W": self.W,
             "K": self.K,
             "flags": sorted(self.flags),
-            "nonzero_witness": self.nonzero_witness._asdict()
-            if self.nonzero_witness is not None
-            else None,
+            "nonzero_witness": self.nonzero_witness._asdict() if self.nonzero_witness else None,
             "model": self.reconstruction.to_dict(),
         }
 
@@ -229,8 +227,7 @@ def reconstruct_on_locus(model: PronyModel, W: int, K: int) -> tuple | frozenset
     # Growing modes overflow the powers to inf (and inf * 0 to NaN); the
     # positivity gate and the singular check turn those into flags.
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = []
-        weights = []
+        rates, weights = [], []
         for mu, amp in zip(model.nodes, model.amplitudes):
             if mu <= 0.0:
                 return frozenset({POSITIVITY})

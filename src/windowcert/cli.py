@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import logging
 import os
@@ -33,6 +34,10 @@ from .prony import prony_reconstruct
 from .rankcert import certify_witness, search_witness
 from .signal import RationalParams, WindowData, generate_sequence, window_sums
 from .synth import case_a_fixture, case_b_fixture, collision_pair
+
+# The witness search's defaults, stated once, in search_witness's signature.
+_SEARCH_DEFAULTS = {k: v.default for k, v in inspect.signature(search_witness).parameters.items()
+                    if v.default is not v.empty}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,6 +90,8 @@ def _load_windows(path: str) -> WindowData:
 
 def _parse_pi0(text: str, d: int) -> RationalParams:
     """The integer parameter vector y0..yd,q1..qd of ``--pi0``."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     try:
         vals = [int(v) for v in text.replace(",", " ").split()]
     except ValueError as exc:
@@ -112,11 +119,11 @@ def cmd_windows(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    typed = {k: getattr(args, k) for k in ("seed", "bound", "max_trials") if k in args}
+    typed = {k: getattr(args, k) for k in _SEARCH_DEFAULTS if k in args}
     if args.search:
-        seed, bound, trials = ({"seed": 0, "bound": 5, "max_trials": 100} | typed).values()
-        cert = search_witness(args.d, args.W, bound, args.prime, seed=seed, max_trials=trials)
+        cert = search_witness(args.d, args.W, args.prime, **typed)
         if cert is None:
+            trials = typed.get("max_trials", _SEARCH_DEFAULTS["max_trials"])
             _log(logging.WARNING, f"witness search exhausted after {trials} trials")
             return 3
     elif typed:
@@ -139,8 +146,7 @@ def cmd_certify(args) -> int:
     data = _load_windows(args.windows)
     report = pipeline(data, args.d, noise_eps=args.noise_eps)
     _emit_json(report.to_dict(), args.out)
-    codes = {Decision.ZERO: 0, Decision.NONZERO: 1, Decision.INCONCLUSIVE: 3}
-    return codes[report.decision]
+    return {Decision.ZERO: 0, Decision.NONZERO: 1, Decision.INCONCLUSIVE: 3}[report.decision]
 
 
 def cmd_synth(args) -> int:
@@ -152,9 +158,8 @@ def cmd_synth(args) -> int:
         sys.stdout.write(f"N={big_n}\n")
         return 0
     fixture = case_a_fixture() if args.what == "case-a" else case_b_fixture()
-    lines = ["k,true,observed"]
-    for k, (t, o) in enumerate(zip(fixture.true_windows, fixture.observed_windows)):
-        lines.append(f"{k},{t!r},{o!r}")
+    rows = enumerate(zip(fixture.true_windows, fixture.observed_windows))
+    lines = ["k,true,observed", *(f"{k},{t!r},{o!r}" for k, (t, o) in rows)]
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -187,9 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--pi0", help="integer parameters y0..yd,q1..qd")
     point.add_argument("--search", action="store_true")
     p.add_argument("--prime", type=int, default=10**9 + 7)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="default 0")
-    p.add_argument("--bound", type=int, default=argparse.SUPPRESS, help="default 5")
-    p.add_argument("--max-trials", type=int, default=argparse.SUPPRESS, help="default 100")
+    for option, dest, metavar in (("--seed", "seed", "SEED"),
+                                  ("--bound", "coordinate_bound", "BOUND"),
+                                  ("--max-trials", "max_trials", "MAX_TRIALS")):
+        p.add_argument(option, dest=dest, metavar=metavar, type=int, default=argparse.SUPPRESS,
+                       help=f"default {_SEARCH_DEFAULTS[dest]}")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("reconstruct", parents=[common], help="Prony recovery")

@@ -33,9 +33,9 @@ one product with [C^W X; 0 C^W].  Rows r < W of C^W and X come from g and
 g/Q near index W, at about d^2 multiply-adds each; for W < d the rows
 r >= W of C^W are the shifted identity (s_{t+W-r} is entry r - W of s_t)
 and those of X are 0.  ``_stepped_states`` sums the first k0 + 1 windows,
-k0 = min(ceil(2d/W), 2d), from prefix sums of the samples and steps the
-rest, about 4d^2 multiply-adds per window, a count that does not grow with
-W (the entries still do, linearly).  The columns then take about 2d^2 K
+k0 = ceil(2d/W) (all 2d + 1 at W = 1), from prefix sums of the samples and
+steps the rest, about 4d^2 multiply-adds per window, a count that does not
+grow with W (the entries still do, linearly).  The columns then take about 2d^2 K
 multiply-adds, as one product with Toeplitz weights.  The steps and the
 column product run as numpy products over arrays of Python ints and
 Fractions (dtype object): numpy runs the loops, and the arithmetic stays
@@ -150,8 +150,8 @@ def _stepped_states(params: RationalParams, W: int):
     """Two (2d+1) x d arrays: row k holds the W-sample sums of window k of
     g at delays d+1..2d in the first, and of E at delays 1..d in the second.
 
-    Windows 0..k0, with k0 = min(ceil(2d/W), 2d), come from prefix sums of
-    the samples.  From there three states move one window per step:
+    Windows 0..k0, with k0 = ceil(2d/W), come from prefix sums of the
+    samples.  From there three states move one window per step:
 
       B = (B_{t-d-1}, ..., B_{t-2d})  the g sums,     B' = C^W B,
       T = (T_{t-1}, ..., T_{t-d})     the E sums,     T' = C^W T + X Y,
@@ -164,7 +164,7 @@ def _stepped_states(params: RationalParams, W: int):
     """
     d = params.degree
     q = params.recurrence
-    k0 = min(-(-2 * d // W), 2 * d)
+    k0 = -(-2 * d // W)
     n = W * (k0 + 1)
     y, g, tail = _responses(params, n)
     # One prefix-sum table, a row each for g, E and y behind 2d zeros: column
@@ -332,18 +332,13 @@ def certify_witness(params: RationalParams, d: int, W: int, p: int) -> RankCerti
 
 
 def search_witness(
-    d: int,
-    W: int,
-    coordinate_bound: int,
-    p: int,
-    seed: int = 0,
-    max_trials: int = 100,
+    d: int, W: int, p: int, *, coordinate_bound: int = 5, seed: int = 0, max_trials: int = 100
 ) -> Optional[RankCertificate]:
     """Randomized search for an integer point with nonsingular Jacobian mod p.
 
     Deterministic given the seed; trials draw coordinates uniformly from
-    [-bound, bound], skipping the all-zero recurrence.  Returns None after
-    max_trials failures.
+    [-coordinate_bound, coordinate_bound], skipping the all-zero recurrence.
+    Returns None after max_trials failures.  The CLI reads these defaults.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")

@@ -159,9 +159,7 @@ def window_sums(sequence, W: int, K: int) -> WindowData:
     if W < 1 or K < 1:
         raise ValueError("W and K must be >= 1")
     if len(sequence) < W * K:
-        raise ValueError(
-            f"sequence of length {len(sequence)} too short for {K} windows of {W}"
-        )
+        raise ValueError(f"sequence of length {len(sequence)} too short for {K} windows of {W}")
     return WindowData([sum(sequence[W * k : W * k + W]) for k in range(K)], W, K)
 
 

@@ -121,6 +121,8 @@ def collision_pair(base: ExponentialMixture, d: int, W: int, K: int):
     consecutive bumps with gap wider than the recurrence depth force a unit
     residual.  Returns (y_in, y_out, N).
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if W < 1 or K < 0:
         raise ValueError("need W >= 1 and K >= 0")
     n_bumps = max(6, d + 2)

@@ -27,6 +27,16 @@ EXHAUSTED_SEARCH = ["witness", "-d", "2", "-W", "3", "--search", "--bound", "1",
                     "--max-trials", "0"]
 
 
+def run_python(*args):
+    """A fresh interpreter on ``args``, with the package's source on its path
+    and WINDOWCERT_LOG unset."""
+    env = {k: v for k, v in os.environ.items() if k != "WINDOWCERT_LOG"}
+    env["PYTHONPATH"] = str(Path(windowcert.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 def write_windows(path, sums, W):
     path.write_text(
         json.dumps({"W": W, "K": len(sums), "sums": list(sums)})
@@ -256,13 +266,14 @@ class TestSynth:
         assert observed == fixture.observed_windows
 
     def test_collision_files(self, tmp_path, capsys):
-        out = tmp_path / "coll"
-        rc = main(["synth", "collision", "-d", "3", "-W", "8", "-K", "11",
-                   "--out", str(out)])
-        assert rc == 0
-        assert (tmp_path / "coll.in.csv").exists()
-        assert (tmp_path / "coll.out.csv").exists()
-        assert "N=95" in capsys.readouterr().out
+        # -d 3 -W 8 -K 11 are the defaults: typed or not, the same files.
+        written = []
+        for args in (["-d", "3", "-W", "8", "-K", "11"], []):
+            rc = main(["synth", "collision", *args, "--out", str(tmp_path / "coll")])
+            assert rc == 0
+            assert capsys.readouterr().out == "N=95\n"
+            written.append([(tmp_path / f"coll.{name}.csv").read_bytes() for name in ("in", "out")])
+        assert written[0] == written[1] and all(written[0])
 
     def test_unknown_target(self):
         assert main(["synth", "case-z"]) == 2
@@ -285,12 +296,21 @@ class TestRejectedInput:
             ["witness", "-d", "1", "-W", "x", "--pi0", "1 1 -1"],
             # search_witness tests the modulus before the first trial.
             ["witness", "-d", "1", "-W", "2", "--search", "--prime", "10", "--max-trials", "0"],
+            # A degree below 1, before any count of --pi0 or file written.
+            pytest.param(["synth", "collision", "-d", "0", "--out", "{out}"], id="collision_d0"),
+            pytest.param(["synth", "collision", "-d", "-5", "--out", "{out}"], id="collision_d-5"),
+            pytest.param(["windows", "-d", "-1", "-W", "2", "-K", "2", "--pi0", "1"],
+                         id="windows_d-1"),
+            pytest.param(["witness", "-d", "-1", "-W", "2", "--pi0", "1"], id="witness_d-1"),
         ],
     )
-    def test_bad_arguments(self, argv, capsys):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    def test_bad_arguments(self, argv, tmp_path, capsys):
+        assert main([a.format(out=tmp_path / "out") for a in argv]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+        if "-d" in argv and int(argv[argv.index("-d") + 1]) < 1:
+            assert err.startswith("error: d must be >= 1, got ")
 
     @pytest.mark.parametrize(
         "argv",
@@ -306,9 +326,9 @@ class TestRejectedInput:
         sequence = tmp_path / "y.txt"
         sequence.write_text("1.0 2.0 3.0 4.0")
         assert main([a.format(sequence=sequence) for a in argv]) == 2
-        assert re.fullmatch(
-            r"error: argument \S+: not allowed with argument \S+\n", capsys.readouterr().err
-        )
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert re.fullmatch(r"error: argument \S+: not allowed with argument \S+\n", err)
 
     @pytest.mark.parametrize(
         "argv",
@@ -343,9 +363,9 @@ class TestRejectedInput:
         # A W at or above 2^63 overflows a C ssize_t before any term is built.
         # A W such as 10^12 would build its W K terms first: never test one.
         assert main(argv) == 2
-        assert re.fullmatch(
-            r"error: input too large for this machine \([^\n]+\)\n", capsys.readouterr().err
-        )
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert re.fullmatch(r"error: input too large for this machine \([^\n]+\)\n", err)
 
     def test_no_windows(self, capsys):
         # K = 0 is reported as such, not as a sequence too short for d.
@@ -685,28 +705,38 @@ def _has_shape(obj, shape):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,code",
     [
-        ["windows", "-d", "3", "-W", "8", "-K", "7", "--pi0", WITNESS_PI0],
-        ["witness", "-d", "3", "-W", "8", "--pi0", WITNESS_PI0],
-        ["witness", "-d", "2", "-W", "3", "--search"],
-        ["reconstruct", "{windows}", "-d", "2"],
-        ["reconstruct", "{degenerate}", "-d", "2"],
-        ["certify", "{windows}", "-d", "2"],
-        ["certify", "{degenerate}", "-d", "2"],
-        ["certify", "{constant}", "-d", "1"],
+        (["windows", "-d", "3", "-W", "8", "-K", "7", "--pi0", WITNESS_PI0], 0),
+        (["witness", "-d", "3", "-W", "8", "--pi0", WITNESS_PI0], 0),
+        (["witness", "-d", "2", "-W", "3", "--search"], 0),
+        (["reconstruct", "{windows}", "-d", "2"], 0),
+        (["reconstruct", "{degenerate}", "-d", "2"], 1),
+        (["certify", "{windows}", "-d", "2"], 1),
+        (["certify", "{degenerate}", "-d", "2"], 1),
+        (["certify", "{constant}", "-d", "1"], 0),
+        # Window-level steps at W = 8d and below W = d, and a modulus on each
+        # side of det_mod's int64 bound, 2^31.
+        (["witness", "-d", "3", "-W", "64", "--pi0", WITNESS_PI0], 0),
+        (["witness", "-d", "3", "-W", "64", "--pi0", WITNESS_PI0, "--prime", str(2**61 - 1)], 0),
+        (["witness", "-d", "3", "-W", "8", "--pi0", WITNESS_PI0, "--prime", str(2**31 - 1)], 0),
+        (["witness", "-d", "6", "-W", "3", "--pi0", "2 -1 3 1 5 -4 2 1 -3 2 4 -1 3"], 0),
+        (["reconstruct", "{complex}", "-d", "2"], 1),
     ],
     ids=["windows", "witness", "search", "reconstruct", "reconstruct_degenerate",
-         "certify", "certify_degenerate", "certify_zero"],
+         "certify", "certify_degenerate", "certify_zero", "witness_W64", "witness_W64_p61",
+         "witness_p31", "witness_d6_W3", "reconstruct_complex"],
 )
-def test_document_shape(tmp_path, capsys, argv):
-    # The key set and value types of each document that the CLI writes.
+def test_document_shape(tmp_path, capsys, argv, code):
+    # The exit code, key set and value types of each document that the CLI
+    # writes.
     paths = {
         "windows": write_windows(tmp_path / "w.json", [2.0, 5.0, 13.0, 35.0], 2),
         "degenerate": write_windows(tmp_path / "g.json", [1.0, 2.0, 4.0, 8.0], 2),
         "constant": write_windows(tmp_path / "c.json", [8.0] * 7, 8),
+        "complex": write_windows(tmp_path / "z.json", [1.0, 0.5, -1.0, -0.5, 1.0, 0.5], 2),
     }
-    main([arg.format(**paths) for arg in argv])
+    assert main([arg.format(**paths) for arg in argv]) == code
     out = capsys.readouterr().out
     obj = _strict_json(out)
     assert _has_shape(obj, DOCUMENT_SHAPES[argv[0]])
@@ -765,13 +795,7 @@ class TestReusedParserAndValidators:
             "    sys.stderr.write('--\\n')\n"
             "print(len(logging.getLogger().handlers))\n"
         )
-        src = str(Path(windowcert.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "WINDOWCERT_LOG"}
-        env["PYTHONPATH"] = src
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *levels],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_python("-c", script, *levels)
         assert proc.returncode == 0, proc.stderr
         calls = proc.stderr.split("--\n")[:-1]
         line = "WARNING windowcert: witness search exhausted after 0 trials\n"
@@ -805,15 +829,32 @@ class TestReusedParserAndValidators:
             f"assert main({EXHAUSTED_SEARCH!r}) == 3\n"
             "print(logging.getLogger('windowcert').propagate)\n"
         )
-        src = str(Path(windowcert.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "WINDOWCERT_LOG"}
-        env["PYTHONPATH"] = src
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "WARNING windowcert: witness search exhausted after 0 trials\n"
         assert proc.stdout == "True\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["witness", "-d", "3", "-W", "8", "--pi0", WITNESS_PI0], 0),
+        (["certify", "{geometric}", "-d", "1"], 1),
+        (["witness", "-d", "1", "-W", "x", "--pi0", "1 1 -1"], 2),
+        (EXHAUSTED_SEARCH, 3),
+        (["--help"], 0),
+    ],
+    ids=["zero", "one", "two", "three", "help"],
+)
+def test_module_exit_status(tmp_path, argv, code):
+    # python -m windowcert.cli exits with main's return value, and --help,
+    # which argparse ends with SystemExit, with 0; stderr holds at most the
+    # one line of an exit 2 or 3.
+    geometric = write_windows(tmp_path / "w.json", [8.0, 4.0, 2.0, 1.0], 4)
+    proc = run_python("-m", "windowcert.cli", *(a.format(geometric=geometric) for a in argv))
+    assert proc.returncode == code, proc.stderr
+    line = {2: r"error: [^\n]+\n", 3: r"WARNING windowcert: [^\n]+\n"}.get(code, "")
+    assert re.fullmatch(line, proc.stderr)
 
 
 def test_roundtrip_windows_to_certify(tmp_path):

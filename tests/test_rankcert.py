@@ -143,7 +143,7 @@ def decaying_float_points(draw):
 
 blocks = st.integers(1, 12)
 # Block lengths on both sides of W = d and of W = 2d: the first
-# k0 = min(ceil(2d/W), 2d) windows come from the samples and the rest from
+# k0 + 1 = ceil(2d/W) + 1 windows come from the samples and the rest from
 # steps, so W = 1 takes no step, W < d steps with rows of C^W that are the
 # shifted identity, and W >= 2d sums two windows before it steps.
 wide_blocks = st.integers(1, 24)
