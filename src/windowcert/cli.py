@@ -237,6 +237,8 @@ def main(argv=None) -> int:
             message = f"input too large for this machine ({message})"
         sys.stderr.write(f"error: {message}\n")
         return 2
+    except SystemExit as exc:  # --help, after argparse printed the usage
+        return exc.code
 
 
 if __name__ == "__main__":

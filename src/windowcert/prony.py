@@ -89,7 +89,7 @@ def _hankel_sums(S, d: int) -> list:
     """The sums as floats, checked to hold the 2d that a d x d Hankel system reads."""
     s = _sums(S)
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise ValueError(f"d must be >= 1, got {d}")
     if len(s) < 2 * d:
         raise ValueError(f"need at least 2d={2 * d} window sums, got {len(s)}")
     return s

@@ -29,17 +29,17 @@ obeys s_{t+1} = C s_t, with C the companion matrix of Q, then
 s_{t+W} = C^W s_t, and so do the W-sample sums of x.  The d sums of g that
 one window needs thus move to the next window by one product with C^W; the
 d sums of E, which obeys the recurrence forced by y, move with the y sums by
-one product with [C^W X; 0 C^W].  Rows r < W of C^W and X come from g and
-g/Q near index W, at about d^2 multiply-adds each; for W < d the rows
-r >= W of C^W are the shifted identity (s_{t+W-r} is entry r - W of s_t)
-and those of X are 0.  ``_stepped_states`` sums the first k0 + 1 windows,
-k0 = ceil(2d/W) (all 2d + 1 at W = 1), from prefix sums of the samples and
-steps the rest, about 4d^2 multiply-adds per window, a count that does not
-grow with W (the entries still do, linearly).  The columns then take about 2d^2 K
-multiply-adds, as one product with Toeplitz weights.  The steps and the
-column product run as numpy products over arrays of Python ints and
-Fractions (dtype object): numpy runs the loops, and the arithmetic stays
-that of the entries.
+one product with [C^W X; 0 C^W].  At W >= d every row of C^W and X comes
+from g and g/Q near index W, at about d^2 multiply-adds each.  The first
+k0 + 1 windows, k0 = ceil(2d/W) (all 2d + 1 at W < d), come from prefix
+sums of the samples, and ``_stepped_states`` steps the rest.  A step takes
+about 4d^2 multiply-adds, a count that does not grow with W (the entries
+still do, linearly); a window of samples takes about 3dW, one recurrence
+step each of y, g and E per sample.  The costs meet near W = d, so the
+split is there.  The columns then take about 2d^2 K multiply-adds, as one
+product with Toeplitz weights.  The steps and the column product run as
+numpy products over arrays of Python ints and Fractions (dtype object):
+numpy runs the loops, and the arithmetic stays that of the entries.
 
 The Jacobian is exact for int and Fraction parameters: ints give a
 bit-exact integer matrix (Python ints are arbitrary precision, so exact
@@ -150,8 +150,9 @@ def _stepped_states(params: RationalParams, W: int):
     """Two (2d+1) x d arrays: row k holds the W-sample sums of window k of
     g at delays d+1..2d in the first, and of E at delays 1..d in the second.
 
-    Windows 0..k0, with k0 = ceil(2d/W), come from prefix sums of the
-    samples.  From there three states move one window per step:
+    Windows 0..k0 come from prefix sums of the samples: all 2d + 1 at W < d,
+    where they cost less than steps, and k0 = ceil(2d/W) <= 2 at W >= d.
+    From there three states move one window per step:
 
       B = (B_{t-d-1}, ..., B_{t-2d})  the g sums,     B' = C^W B,
       T = (T_{t-1}, ..., T_{t-d})     the E sums,     T' = C^W T + X Y,
@@ -164,7 +165,7 @@ def _stepped_states(params: RationalParams, W: int):
     """
     d = params.degree
     q = params.recurrence
-    k0 = -(-2 * d // W)
+    k0 = 2 * d if W < d else -(-2 * d // W)
     n = W * (k0 + 1)
     y, g, tail = _responses(params, n)
     # One prefix-sum table, a row each for g, E and y behind 2d zeros: column
@@ -183,9 +184,7 @@ def _stepped_states(params: RationalParams, W: int):
     b, e = list(sums[:, :d]), list(sums[:, d : 2 * d])
     if k0 < 2 * d:
         g2 = extend_recurrence(q, [0] * d, g[: W + d - 1])  # d zeros, then g/Q = 1/Q^2
-        power = _step_matrix(q, g, W)
-        for r in range(W, d):
-            power[r][r - W] += 1  # C^W: s_{t+W-r} is entry r - W of s_t
+        power = _step_matrix(q, g, W)  # C^W
         coupled = [row + x_row for row, x_row in zip(power, _step_matrix(q, g2[d:], W))]
         coupled = np.array(coupled + [[0] * d + row for row in power], dtype=object)
         power = coupled[d:, d:]
@@ -199,14 +198,13 @@ def _stepped_states(params: RationalParams, W: int):
 
 def _step_matrix(q, x, W: int) -> list:
     """Rows of the d x d matrix with entries -sum_{m=c+1..d} q_m x_{W-r+c-m},
-    where x is 0 at a negative index.
+    where x is 0 at a negative index, for W >= d.
 
-    With x = g and the shifted identity added to its rows r >= W, this is
-    C^W, the W-th power of the companion matrix of Q acting on
-    (s_t, ..., s_{t-d+1}): row r holds the coefficients of s_{t+W-r}, which
-    for r >= W is entry r - W of the state itself.  With x = g/Q it is the
-    block X of the (T, Y) step, whose rows r >= W are 0.  Entries on one
-    diagonal share their terms, so each costs one multiply-add.
+    With x = g this is C^W, the W-th power of the companion matrix of Q
+    acting on (s_t, ..., s_{t-d+1}): row r holds the coefficients of
+    s_{t+W-r}, a sample past the state.  With x = g/Q it is the block X of
+    the (T, Y) step.  Entries on one diagonal share their terms, so each
+    costs one multiply-add.
     """
     d = len(q)
     rows = [[0] * d for _ in range(d)]

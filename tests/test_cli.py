@@ -302,13 +302,16 @@ class TestRejectedInput:
             pytest.param(["windows", "-d", "-1", "-W", "2", "-K", "2", "--pi0", "1"],
                          id="windows_d-1"),
             pytest.param(["witness", "-d", "-1", "-W", "2", "--pi0", "1"], id="witness_d-1"),
+            pytest.param(["reconstruct", "{windows}", "-d", "0"], id="reconstruct_d0"),
+            pytest.param(["certify", "{windows}", "-d", "-2"], id="certify_d-2"),
         ],
     )
     def test_bad_arguments(self, argv, tmp_path, capsys):
-        assert main([a.format(out=tmp_path / "out") for a in argv]) == 2
+        windows = write_windows(tmp_path / "w.json", [2.0, 5.0, 13.0, 35.0], 2)
+        assert main([a.format(out=tmp_path / "out", windows=windows) for a in argv]) == 2
         stdout, err = capsys.readouterr()
         assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
-        assert not any(tmp_path.iterdir())
+        assert [path.name for path in tmp_path.iterdir()] == ["w.json"]
         if "-d" in argv and int(argv[argv.index("-d") + 1]) < 1:
             assert err.startswith("error: d must be >= 1, got ")
 
@@ -395,7 +398,7 @@ class TestRejectedInput:
     def test_zero_degree(self, tmp_path, capsys):
         path = write_windows(tmp_path / "w.json", [2.0, 5.0, 13.0, 35.0], 2)
         assert main(["reconstruct", path, "-d", "0"]) == 2
-        assert capsys.readouterr().err == "error: d must be >= 1\n"
+        assert capsys.readouterr().err == "error: d must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("command", ["reconstruct", "certify"])
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -855,6 +858,16 @@ def test_module_exit_status(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     line = {2: r"error: [^\n]+\n", 3: r"WARNING windowcert: [^\n]+\n"}.get(code, "")
     assert re.fullmatch(line, proc.stderr)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"]], ids=["top", "certify"])
+def test_help_returns_zero(capsys, argv):
+    # In process, --help returns 0 like every other outcome returns its code,
+    # with the usage on stdout.
+    assert main(argv) == 0
+    stdout, err = capsys.readouterr()
+    assert stdout.startswith(" ".join(["usage: windowcert", *argv[:-1]]) + " ")
+    assert err == ""
 
 
 def test_roundtrip_windows_to_certify(tmp_path):

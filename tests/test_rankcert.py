@@ -142,10 +142,10 @@ def decaying_float_points(draw):
 
 
 blocks = st.integers(1, 12)
-# Block lengths on both sides of W = d and of W = 2d: the first
-# k0 + 1 = ceil(2d/W) + 1 windows come from the samples and the rest from
-# steps, so W = 1 takes no step, W < d steps with rows of C^W that are the
-# shifted identity, and W >= 2d sums two windows before it steps.
+# Block lengths on both sides of W = d and of W = 2d: W < d sums all
+# 2d + 1 windows from the samples and takes no step, and from W = d on the
+# first k0 + 1 = ceil(2d/W) + 1 windows come from the samples and the rest
+# from steps, so W >= 2d sums two windows before it steps.
 wide_blocks = st.integers(1, 24)
 
 
@@ -169,10 +169,10 @@ class TestAssemblyProperties:
     @given(integer_points(), wide_blocks)
     @example(RationalParams((0, 0, 0), (3, -2)), 5)  # all-zero initial values
     @example(RationalParams((1, -2, 4), (3, 0)), 4)  # q_d = 0, W >= 2d
-    @example(RationalParams((1, -2, 4, 1), (3, 1, 0)), 2)  # q_d = 0, W < d
-    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 2)  # W < d, k0 = d
-    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 3)  # W = d - 1
-    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 4)  # W = d
+    @example(RationalParams((1, -2, 4, 1), (3, 1, 0)), 2)  # q_d = 0, W < d: sums only
+    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 2)  # W < d: sums only
+    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 3)  # W = d - 1: sums only
+    @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 4)  # W = d: the first steps
     @example(RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4)), 1)  # W = 1: no step
     @example(RationalParams((3, 4), (5,)), 1)  # W = d = 1: no step after the sums
     def test_exact_matches_propagation(self, params, W):
@@ -180,15 +180,28 @@ class TestAssemblyProperties:
 
     @pytest.mark.parametrize("d", [3, 6, 10, 16])
     def test_steps_match_samples_on_grid(self, d):
-        # The bench grid, the cells with W < d included: the steps give the
-        # sums of the samples, as Python ints, at every W.
+        # The bench grid, the cells with W < d included, and both sides of
+        # the split at W = d: the stepped states are the sums of the
+        # samples, as Python ints, at every W.
         rng = np.random.default_rng(d)
         K = 2 * d + 1
-        for W in (8, 16, 32, 64):
+        for W in (d - 1, d, 8, 16, 32, 64):
             pi = [int(v) for v in rng.integers(-5, 6, K)]
             params = RationalParams.from_vector(pi, d)
             b, e = rankcert._stepped_states(params, W)
             assert (b.tolist(), e.tolist()) == _sampled_states(params, W)
+
+    def test_no_step_below_degree(self, monkeypatch):
+        # W < d sums every window from the samples; W = d builds C^W.
+        def refuse(*args):
+            raise AssertionError("step matrix built")
+
+        monkeypatch.setattr(rankcert, "_step_matrix", refuse)
+        params = RationalParams((2, -1, 3, 1, 5), (1, -3, 2, 4))
+        for W in (1, 2, 3):
+            assert jacobian(params, W) == _propagated_jacobian(params, W)
+        with pytest.raises(AssertionError, match="step matrix built"):
+            jacobian(params, 4)
 
     def test_steps_match_samples_on_witness(self):
         b, e = rankcert._stepped_states(WITNESS, WITNESS_W)
