@@ -14,9 +14,9 @@ Each JSON document is produced by one encoder, the ``to_dict`` of its type,
 and is written as one newline-terminated line of strict RFC 8259 JSON by
 json's compact (C) encoder, the same bytes on stdout and to ``--out``:
 non-finite floats are written as null.  Large integers are serialized as
-strings; CSV holds decimal text.  ``WINDOWCERT_LOG`` names the lowest level
-(default WARNING; NOTSET passes all) of the ``LEVEL windowcert: ...`` lines
-that a call of ``main`` writes to its stderr; no ``logging`` logger is used.
+strings; CSV holds decimal text.  Stderr holds at most one line, and no
+setting gates it: ``error: ...`` with exit 2, or ``WARNING windowcert: witness
+search exhausted after N trials`` with exit 3.
 """
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ import argparse
 import functools
 import inspect
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -47,26 +45,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _log_level() -> int:
-    """The level that WINDOWCERT_LOG names (default WARNING)."""
-    name = os.environ.get("WINDOWCERT_LOG", "WARNING").upper()
-    if not isinstance(level := logging.getLevelName(name), int):
-        raise ValueError(f"unknown WINDOWCERT_LOG level {name!r}")
-    return level
-
-
-def _log(level: int, message: str) -> None:
-    if level >= _log_level():
-        sys.stderr.write(f"{logging.getLevelName(level)} windowcert: {message}\n")
-
-
 def _write(text: str, out: str | None) -> None:
     if out:
         try:
             Path(out).write_text(text)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc}") from exc
-        _log(logging.INFO, f"wrote {out}")
     else:
         sys.stdout.write(text)
 
@@ -77,14 +61,15 @@ def _emit_json(obj: dict, out: str | None) -> None:
 
 def _load_windows(path: str) -> WindowData:
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
-        return WindowData.from_dict(json.loads(text))
+        return WindowData.from_dict(json.loads(raw.decode()))
     except (ValueError, RecursionError) as exc:
-        # json.JSONDecodeError is a ValueError; nesting deeper than the
-        # decoder's recursion limit raises RecursionError.
+        # UnicodeDecodeError (RFC 8259 fixes UTF-8) and json.JSONDecodeError
+        # are ValueErrors; nesting deeper than the decoder's recursion limit
+        # raises RecursionError.
         raise ValueError(f"malformed windows file {path}: {exc}") from exc
 
 
@@ -124,7 +109,9 @@ def cmd_witness(args) -> int:
         cert = search_witness(args.d, args.W, args.prime, **typed)
         if cert is None:
             trials = typed.get("max_trials", _SEARCH_DEFAULTS["max_trials"])
-            _log(logging.WARNING, f"witness search exhausted after {trials} trials")
+            sys.stderr.write(
+                f"WARNING windowcert: witness search exhausted after {trials} trials\n"
+            )
             return 3
     elif typed:
         raise ValueError("--seed, --bound and --max-trials go only with --search")
@@ -225,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _log_level()  # an unknown level exits 2 whatever the call writes
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, MemoryError, OverflowError) as exc:

@@ -53,6 +53,7 @@ when the rates crowd near 1.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from operator import mul
@@ -66,19 +67,18 @@ from .signal import window_sums  # noqa: F401  (bench/tracing.py rebinds rankcer
 
 # Miller-Rabin with the first k primes as bases is exact below psi_k, the
 # least strong pseudoprime to all of them (Jaeschke 1993, Math. Comp.
-# 61(204); Sorenson & Webster 2017, Math. Comp. 86(304)).  psi_4 =
-# 151 * 751 * 28351 passes the bases 2, 3, 5 and 7, so both bounds are strict.
+# 61(204); Sorenson & Webster 2017, Math. Comp. 86(304)); the bound is strict.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981  # psi_13
-_MR_SMALL_BASES = _MR_BASES[:4]
-_MR_SMALL_BOUND = 3_215_031_751  # psi_4
 
 
+@functools.cache
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for moduli used in certificates.
 
     Exact for n below psi_13 = 3317044064679887385961981; raises ValueError
-    at or above it, where no base set here is known to be exact.
+    at or above it, where no base set here is known to be exact.  Each
+    modulus is tested once per process; later calls are cache lookups.
     """
     if n >= _MR_BOUND:
         raise ValueError(
@@ -86,8 +86,7 @@ def is_prime(n: int) -> bool:
         )
     if n < 2:
         return False
-    bases = _MR_SMALL_BASES if n < _MR_SMALL_BOUND else _MR_BASES
-    for p in bases:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -95,7 +94,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in bases:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -393,6 +393,15 @@ class TestSearchWitness:
         assert search_witness(2, 3, coordinate_bound=1, p=PRIME, seed=1, max_trials=3) is None
         assert calls == [PRIME] * 4
 
+    def test_modulus_tested_once_per_process(self):
+        # A second search at the same p, and each of its trials' det_mod,
+        # reads the cached verdict: no further Miller-Rabin test runs.
+        search_witness(2, 3, coordinate_bound=1, p=PRIME, seed=1, max_trials=3)
+        before = is_prime.cache_info()
+        assert search_witness(2, 3, coordinate_bound=1, p=PRIME, seed=1, max_trials=3) is None
+        after = is_prime.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 4)
+
     def test_zero_recurrence_skipped(self, monkeypatch):
         # Seed 6 at d = 1, bound 1 first draws (1, -1, 0): q_1 = 0 leaves no
         # recurrence, so the trial is spent without a certificate.
