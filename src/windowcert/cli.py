@@ -2,8 +2,8 @@
 
 Exit codes are part of the contract:
   0  success (certify: zero verdict; witness: nonzero determinant)
-  1  conclusive negative (certify: nonzero; witness: singular; reconstruct:
-     degenerate flags)
+  1  conclusive negative (certify: nonzero; witness: zero residue mod p, so
+     the point certifies nothing at p; reconstruct: degenerate flags)
   2  malformed input or configuration (argparse's rejections, conflicting
      inputs, an option the mode does not read: ``windows -d`` without
      ``--pi0``, ``witness --seed|--bound|--max-trials`` without ``--search``),
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -34,8 +33,7 @@ from .signal import RationalParams, WindowData, generate_sequence, window_sums
 from .synth import case_a_fixture, case_b_fixture, collision_pair
 
 # The witness search's defaults, stated once, in search_witness's signature.
-_SEARCH_DEFAULTS = {k: v.default for k, v in inspect.signature(search_witness).parameters.items()
-                    if v.default is not v.empty}
+_SEARCH_DEFAULTS = dict(search_witness.__kwdefaults__)
 
 
 class _Parser(argparse.ArgumentParser):

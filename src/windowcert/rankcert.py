@@ -28,18 +28,19 @@ A window sum of a recurrent sequence obeys a window-level recurrence
 obeys s_{t+1} = C s_t, with C the companion matrix of Q, then
 s_{t+W} = C^W s_t, and so do the W-sample sums of x.  The d sums of g that
 one window needs thus move to the next window by one product with C^W; the
-d sums of E, which obeys the recurrence forced by y, move with the y sums by
-one product with [C^W X; 0 C^W].  At W >= d every row of C^W and X comes
-from g and g/Q near index W, at about d^2 multiply-adds each.  The first
-k0 + 1 windows, k0 = ceil(2d/W) (all 2d + 1 at W < d), come from prefix
-sums of the samples, and ``_stepped_states`` steps the rest.  A step takes
-about 4d^2 multiply-adds, a count that does not grow with W (the entries
-still do, linearly); a window of samples takes about 3dW, one recurrence
-step each of y, g and E per sample.  The costs meet near W = d, so the
-split is there.  The columns then take about 2d^2 K multiply-adds, as one
-product with Toeplitz weights.  The steps and the column product run as
-numpy products over arrays of Python ints and Fractions (dtype object):
-numpy runs the loops, and the arithmetic stays that of the entries.
+d sums of E, which obeys the recurrence forced by y, move by two: C^W on
+them plus a d x d block X on the y sums, which move by C^W.  At W >= d
+every row of C^W and X comes from g and g/Q near index W, at about d^2
+multiply-adds each.  The first k0 + 1 windows, k0 = ceil(2d/W) (all 2d + 1
+at W < d), come from prefix sums of the samples, and ``_stepped_states``
+steps the rest.  A step is these four d x d products, 4d^2 multiply-adds,
+a count that does not grow with W (the entries still do, linearly); a
+window of samples takes about 3dW, one recurrence step each of y, g and E
+per sample.  The costs meet near W = d, so the split is there.  The
+columns then take about 2d^2 K multiply-adds, as one product with Toeplitz
+weights.  The steps and the column product run as numpy products over
+arrays of Python ints and Fractions (dtype object): numpy runs the loops,
+and the arithmetic stays that of the entries.
 
 The Jacobian is exact for int and Fraction parameters: ints give a
 bit-exact integer matrix (Python ints are arbitrary precision, so exact
@@ -183,15 +184,13 @@ def _stepped_states(params: RationalParams, W: int):
     b, e = list(sums[:, :d]), list(sums[:, d : 2 * d])
     if k0 < 2 * d:
         g2 = extend_recurrence(q, [0] * d, g[: W + d - 1])  # d zeros, then g/Q = 1/Q^2
-        power = _step_matrix(q, g, W)  # C^W
-        coupled = [row + x_row for row, x_row in zip(power, _step_matrix(q, g2[d:], W))]
-        coupled = np.array(coupled + [[0] * d + row for row in power], dtype=object)
-        power = coupled[d:, d:]
-        ty = sums[k0, d:]  # (T, Y) at window k0
+        power = np.array(_step_matrix(q, g, W), dtype=object)  # C^W
+        forcing = np.array(_step_matrix(q, g2[d:], W), dtype=object)  # X
+        y_sums = sums[k0, 2 * d :]  # Y at window k0
         for _ in range(k0 + 1, 2 * d + 1):
             b.append(power.dot(b[-1]))
-            ty = coupled.dot(ty)
-            e.append(ty[:d])
+            e.append(power.dot(e[-1]) + forcing.dot(y_sums))
+            y_sums = power.dot(y_sums)
     return np.array(b), np.array(e)
 
 
@@ -201,9 +200,9 @@ def _step_matrix(q, x, W: int) -> list:
 
     With x = g this is C^W, the W-th power of the companion matrix of Q
     acting on (s_t, ..., s_{t-d+1}): row r holds the coefficients of
-    s_{t+W-r}, a sample past the state.  With x = g/Q it is the block X of
-    the (T, Y) step.  Entries on one diagonal share their terms, so each
-    costs one multiply-add.
+    s_{t+W-r}, a sample past the state.  With x = g/Q it is the block X
+    that forces the step of the E sums.  Entries on one diagonal share
+    their terms, so each costs one multiply-add.
     """
     d = len(q)
     rows = [[0] * d for _ in range(d)]

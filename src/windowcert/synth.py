@@ -47,13 +47,9 @@ class CaseStudyFixture:
 
 # These six-decimal parameters regenerate the recorded case-A true-window
 # table to 5e-7 absolute on entries >= 1e-3 (at most 3.3e-7) and to 1%
-# relative below that.  They differ from an earlier set by one unit in the
-# sixth decimal in three places: rates[2] 0.853477 -> 0.853478, weights[0]
-# 0.522164 -> 0.522165, weights[2] 0.281902 -> 0.281901.  The earlier set
-# missed the first four table entries by up to 4.3e-6.  Five sets on the
-# six-decimal lattice meet the table with three one-unit changes (all with
-# weights summing to 1); this one has the smallest error.  The observed
-# column below is stored verbatim and did not change.
+# relative below that.  Of five sets on the six-decimal lattice that meet
+# the table (all with weights summing to 1), this one has the smallest
+# error.  The observed column below is stored verbatim.
 _CASE_A_MIXTURE = ExponentialMixture(
     rates=(0.831127, 0.872789, 0.853478),
     weights=(0.522165, 0.195934, 0.281901),

@@ -148,16 +148,22 @@ class TestLipschitz:
     @example(((1.0,), (2.5,), 4))  # constant windows: rate 1
     @example((_CASE_A.mixture.rates, _CASE_A.mixture.weights, _CASE_A.W))
     @example((_CASE_B.mixture.rates, _CASE_B.mixture.weights, _CASE_B.W))
+    # Outside the stated bound: a small weight beside close nodes gives
+    # kappa(J) = 5.5e10, and L is 1.1e-6 off there, so without the assume
+    # below this example fails.
+    @example(((0.9719464830917115, 0.9904674964312845, 0.9799185947080309),
+              (1.0, 1.0, 0.109375), 11))
     def test_closed_form_matches_exact_jacobian(self, point):
         rates, weights, W = point
         exact = _exact_jacobian(rates, weights, W)
+        floats = np.array([[float(v) for v in row] for row in exact])
+        assume(np.linalg.cond(floats) <= 1e10)  # the bound modal_points states
         expected = _exact_inverse_norm(exact)
         assert estimate_lipschitz(rates, weights, W) == pytest.approx(expected, rel=1e-6)
         # L cannot see a sign flip of a whole column block (J D, D = +-1 on
         # the diagonal, has the singular values of J); the entries can.
-        exact = np.array([[float(v) for v in row] for row in exact])
-        error = np.abs(_modal_jacobian(rates, weights, W) - exact).max()
-        assert error <= 1e-9 * np.abs(exact).max()
+        error = np.abs(_modal_jacobian(rates, weights, W) - floats).max()
+        assert error <= 1e-9 * np.abs(floats).max()
 
 
 def neutral_windows(level: float, W: int, K: int) -> WindowData:

@@ -12,6 +12,7 @@ import pytest
 import windowcert
 from windowcert.certify import EPS0, eps_bound
 from windowcert.cli import _emit_json, main
+from windowcert.rankcert import search_witness
 from windowcert.signal import WindowData
 
 from reference_data import (
@@ -839,7 +840,8 @@ def test_module_exit_status(tmp_path, argv, code):
     assert re.fullmatch(line, proc.stderr)
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"]], ids=["top", "certify"])
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"], ["witness", "--help"]],
+                         ids=["top", "certify", "witness"])
 def test_help_returns_zero(capsys, argv):
     # In process, --help returns 0 like every other outcome returns its code,
     # with the usage on stdout.
@@ -847,6 +849,12 @@ def test_help_returns_zero(capsys, argv):
     stdout, err = capsys.readouterr()
     assert stdout.startswith(" ".join(["usage: windowcert", *argv[:-1]]) + " ")
     assert err == ""
+    if argv[0] == "witness":
+        # The search options print search_witness's own keyword defaults.
+        options = {"seed": "--seed SEED", "coordinate_bound": "--bound BOUND",
+                   "max_trials": "--max-trials MAX_TRIALS"}
+        for name, value in search_witness.__kwdefaults__.items():
+            assert re.search(rf"{options[name]}\s+default {value}\n", stdout), name
 
 
 def test_roundtrip_windows_to_certify(tmp_path):
